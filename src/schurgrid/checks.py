@@ -17,7 +17,6 @@ import os
 import random
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -1291,17 +1290,14 @@ def run_check(check_id: str, n: int | None = None) -> CheckReport:
 def run_checks(
     check_ids: Sequence[str] | None = None,
     n_overrides: Mapping[str, int] | None = None,
-    max_workers: int | None = None,
 ) -> list[CheckReport]:
-    """Run several checks concurrently (each check is an independent job)."""
+    """Run several checks one after another, in the order given."""
     ids = list(_REGISTRY) if check_ids is None else list(check_ids)
     overrides = dict(n_overrides or {})
     for cid in ids:
         if cid not in _REGISTRY:
             raise ValueError(f"unknown check id {cid!r}")
-    workers = max_workers or min(8, max(1, len(ids)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cid: run_check(cid, overrides.get(cid)), ids))
+    return [run_check(cid, overrides.get(cid)) for cid in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ A degree-``n`` quasisymmetric function is a dense integer vector indexed by
 subsets of ``[n-1]`` (bitmask order); a symmetric function is a map from
 partitions of ``n`` to integers.  The bridge between the two worlds is the
 descent-count table ``d[shape][descent-set]`` = number of standard tableaux
-of the shape with that descent set: a quasisymmetric vector is symmetric
-exactly when the linear system ``q = d . c`` is solvable, and then ``c`` is
-its Schur expansion.
+of the shape with that descent set.  Summing a column of the table over the
+subsets of the partial sums of ``lambda`` gives the Kostka number
+``K[mu][lambda]``, and the Kostka matrix is unitriangular in the
+lex-decreasing order of :func:`partitions`.  So the Schur coefficients of a
+vector follow from its monomial coefficients by integer back-substitution;
+the vector is symmetric exactly when they rebuild it, and otherwise two
+rearranged compositions with different monomial coefficients witness that
+it is not.
 
 >>> schur_expand(QSym.unit(3) + QSym.single(3, DescSet.of(3, [1]))
 ...              + QSym.single(3, DescSet.of(3, [2]))).serialize()
@@ -21,8 +26,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -30,6 +34,7 @@ from .permutations import (
     Composition,
     DescSet,
     Perm,
+    composition_boundary_mask,
     des_mask,
     shuffle_words,
     sorted_composition_key,
@@ -50,7 +55,6 @@ __all__ = [
     "descent_class_representative",
     "SchurExpansion",
     "NotSymmetric",
-    "NonIntegralExpansionError",
     "schur_expand",
     "is_schur_positive",
     "schur_f_vector",
@@ -415,11 +419,6 @@ def is_schur_positive(e: SchurExpansion) -> bool:
     return all(c >= 0 for _, c in e.coeffs)
 
 
-class NonIntegralExpansionError(RuntimeError):
-    """Raised when a solved Schur expansion has a non-integer coefficient
-    (impossible for integer symmetric inputs; indicates a bug)."""
-
-
 @dataclass(frozen=True)
 class NotSymmetric:
     """Certificate that a quasisymmetric vector is not symmetric: two
@@ -478,80 +477,34 @@ def is_symmetric_by_monomials(q: QSym) -> bool:
 
 
 def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
-    """Solve for the Schur expansion of a quasisymmetric vector, or return
-    a :class:`NotSymmetric` certificate.
+    """The Schur expansion of a quasisymmetric vector, or a
+    :class:`NotSymmetric` certificate.
 
-    Solvability of the linear system against the descent-count table is
-    equivalent to symmetry; the forward pass is fraction-free integer
-    elimination, the back-substitution exact rational arithmetic, and the
-    result is asserted integral.
+    Walking the partitions in lex-decreasing order, each coefficient is the
+    monomial coefficient of ``q`` at that partition minus the contributions
+    of the coefficients already found (the Kostka matrix is unitriangular).
+    The candidate is returned when its fundamental vector is ``q``;
+    otherwise ``q`` is not symmetric and the monomial witness says where.
 
     >>> isinstance(schur_expand(QSym.single(3, DescSet.of(3, [1]), 2)
     ...                         + QSym.unit(3)), NotSymmetric)
     True
     """
-    n = q.n
-    parts = partitions(n)
-    m = len(parts)
-    table = descent_count_table(n)
-    columns = [table.counts[mu] for mu in parts]
-    width = _width(n)
-    rows = [
-        [columns[j][mask] for j in range(m)] + [q.coeffs[mask]]
-        for mask in range(width)
-    ]
-    # Bareiss fraction-free forward elimination with full row pivoting.
-    rank = 0
-    prev_pivot = 1
-    n_rows = len(rows)
-    for col in range(m):
-        pivot_row = next(
-            (r for r in range(rank, n_rows) if rows[r][col]), None
+    parts = partitions(q.n)
+    kostka = descent_count_table(q.n).kostka
+    mono = monomial_coefficients(q)
+    coeffs: list[int] = []
+    for j, lam in enumerate(parts):
+        coeffs.append(
+            mono[composition_boundary_mask(lam)]
+            - sum(c * kostka[i][j] for i, c in enumerate(coeffs) if c)
         )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            if not any(rows[r][col:]):
-                continue
-            factor = rows[r][col]
-            row_r = rows[r]
-            row_p = rows[rank]
-            for c in range(col, m + 1):
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-    if rank < m:
-        raise RuntimeError("descent-count table lost column rank (bug)")
-    # Inconsistent leftover rows mean the vector is not symmetric.
-    for r in range(rank, n_rows):
-        if rows[r][m] != 0:
-            witness = _monomial_witness(q)
-            if witness is None:
-                raise RuntimeError(
-                    "inconsistent system but monomially symmetric (bug)"
-                )
-            return witness
-    # Back-substitute on the m echelon rows.
-    solution: list[Fraction] = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        row = rows[i]
-        lead = next(c for c in range(m) if row[c])
-        acc = Fraction(row[m])
-        for c in range(lead + 1, m):
-            if row[c]:
-                acc -= row[c] * solution[c]
-        solution[lead] = acc / row[lead]
-    out: dict[Partition, int] = {}
-    for mu, value in zip(parts, solution):
-        if value.denominator != 1:
-            raise NonIntegralExpansionError(
-                f"coefficient of {mu} solved to non-integer {value}"
-            )
-        if value:
-            out[mu] = int(value)
-    return SchurExpansion.from_dict(n, out)
+    expansion = SchurExpansion.from_dict(q.n, dict(zip(parts, coeffs)))
+    if schur_f_vector(expansion) == q:
+        return expansion
+    witness = _monomial_witness(q)
+    assert witness is not None, "a vector outside the Schur span is not symmetric"
+    return witness
 
 
 def skew_schur_f_vector(shape: SkewShape) -> QSym:
@@ -652,6 +605,26 @@ class DescentCountTable:
     def entry(self, mu: Sequence[int], d: DescSet) -> int:
         return self.counts[tuple(mu)][d.mask]
 
+    @cached_property
+    def kostka(self) -> tuple[tuple[int, ...], ...]:
+        """``kostka[i][j]`` = K_{mu lambda}, the number of semistandard
+        tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
+        ``j``-th partitions of ``n``: the sum of the ``mu`` column over the
+        subsets of the partial sums of ``lambda``."""
+        parts = partitions(self.n)
+        subsets = []
+        for lam in parts:
+            mask = sub = composition_boundary_mask(lam)
+            subs = [sub]
+            while sub:
+                sub = (sub - 1) & mask
+                subs.append(sub)
+            subsets.append(subs)
+        return tuple(
+            tuple(sum(self.counts[mu][t] for t in subs) for subs in subsets)
+            for mu in parts
+        )
+
 
 def cache_dir() -> Path:
     """Directory for descent-count table files (override with the
@@ -745,15 +718,21 @@ def _load_table(n: int) -> DescentCountTable | None:
             counts[mu][mask] = int(item["count"])
     except (KeyError, TypeError, ValueError):
         return None
-    return DescentCountTable(n, {mu: tuple(v) for mu, v in counts.items()})
+    table = DescentCountTable(n, {mu: tuple(v) for mu, v in counts.items()})
+    # A self-consistent file can still hold a wrong table; the Schur solve
+    # relies on a unitriangular Kostka matrix, so refuse any other.
+    unitriangular = all(
+        row[i] == 1 and not any(row[:i]) for i, row in enumerate(table.kostka)
+    )
+    return table if unitriangular else None
 
 
 _table_memory: dict[int, DescentCountTable] = {}
 
 
 def descent_count_table(n: int, refresh: bool = False) -> DescentCountTable:
-    """The cached descent-count table of degree ``n``; corrupt or missing
-    cache files are recomputed and rewritten.
+    """The cached descent-count table of degree ``n``; missing, corrupt or
+    non-unitriangular cache files are recomputed and rewritten.
 
     >>> descent_count_table(3).entry((2, 1), DescSet.of(3, [1]))
     1

@@ -91,7 +91,6 @@ def test_run_checks_driver():
     reports = run_checks(
         ["kj-cardinality", "ll-formula", "neg-arc-grid"],
         n_overrides={"kj-cardinality": 5, "ll-formula": 4},
-        max_workers=3,
     )
     assert [r.check_id for r in reports] == [
         "kj-cardinality",

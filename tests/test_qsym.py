@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurgrid import qsym
 from schurgrid.permutations import DescSet, des_set, des_mask, shuffle_words
 from schurgrid.qsym import (
+    DescentCountTable,
     NotSymmetric,
     QSym,
     SchurExpansion,
@@ -229,6 +231,33 @@ def test_schur_expand_inverts_schur_f_vector(pair, data):
     assert schur_expand(schur_f_vector(e)) == e
 
 
+@st.composite
+def qsym_vectors(draw):
+    """Random descent generating functions, or symmetric vectors with one
+    coordinate perturbed (by 0 now and then, so they stay symmetric)."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        words = draw(st.lists(st.permutations(range(1, n + 1)), max_size=12))
+        return qsym_of([tuple(w) for w in words], n)
+    parts = partitions(n)
+    picked = draw(st.lists(st.sampled_from(parts), max_size=4))
+    e = SchurExpansion.from_dict(
+        n, {mu: draw(st.integers(-3, 3)) for mu in picked}
+    )
+    mask = draw(st.integers(0, (1 << (n - 1)) - 1))
+    bump = QSym.single(n, DescSet(n, mask), draw(st.integers(-2, 2)))
+    return schur_f_vector(e) + bump
+
+
+@settings(max_examples=150, deadline=None)
+@given(qsym_vectors())
+def test_schur_expand_decides_symmetry_like_monomials(q):
+    result = schur_expand(q)
+    assert isinstance(result, NotSymmetric) == (not is_symmetric_by_monomials(q))
+    if isinstance(result, SchurExpansion):
+        assert schur_f_vector(result) == q
+
+
 def test_disconnected_shape_multiplies():
     for asize in range(1, 4):
         for bsize in range(1, 4):
@@ -335,4 +364,21 @@ def test_cache_round_trip_and_corruption(tmp_path, monkeypatch):
     assert verify_table_file(4)
 
     write_table(table)
+    assert verify_table_file(4)
+
+
+def test_wrong_cached_table_is_rejected_and_rewritten(monkeypatch):
+    # A table with the (3,1) and (2,2) columns swapped and a valid checksum
+    # would give the S_4 expansion 2*s[3,1] + 3*s[2,2]; its Kostka matrix is
+    # not unitriangular, so the file is recomputed instead of trusted.
+    good = descent_count_table(4)
+    counts = dict(good.counts)
+    counts[(3, 1)], counts[(2, 2)] = counts[(2, 2)], counts[(3, 1)]
+    write_table(DescentCountTable(4, counts))
+    assert not verify_table_file(4)
+    monkeypatch.delitem(qsym._table_memory, 4)
+
+    e = schur_expand(qsym_of(itertools.permutations(range(1, 5))))
+    assert e.serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
+    assert descent_count_table(4) == good
     assert verify_table_file(4)
