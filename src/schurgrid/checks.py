@@ -1588,7 +1588,8 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
     """Scan one conjecture degree by degree up to ``max_n``.
 
     Each degree's verdict is persisted once (append-only); reruns recompute
-    and must reproduce the stored verdict, otherwise they raise.  The scan
+    and must reproduce the stored verdict, case count and witness, otherwise
+    they raise.  The scan
     stops at the first refuting degree or when the cost model exceeds the
     work budget.
     """
@@ -1624,11 +1625,12 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
         stored = _load_record(conj_id, n)
         if stored is None:
             _store_record(record)
-        elif stored.verdict != verdict:
+        elif (stored.verdict, stored.cases, stored.witness) != (verdict, cases, found):
             raise RuntimeError(
                 f"stored verdict for {conj_id} at n={n} is {stored.verdict!r} "
-                f"but recomputation gives {verdict!r}; inspect "
-                f"{_record_path(conj_id, n)}"
+                f"({stored.cases} cases, witness {stored.witness!r}) but "
+                f"recomputation gives {verdict!r} ({cases} cases, witness "
+                f"{found!r}); inspect {_record_path(conj_id, n)}"
             )
         records.append(record)
         if verdict == "refuted":

@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line interface, run as ``schurgrid`` or ``python -m schurgrid``.
 
 Subcommands::
 
@@ -7,7 +7,6 @@ Subcommands::
     check <id> [--n N] [--json FILE]     run one registered identity check
     scan <conj-id> --max-n N [--json FILE]
                                          scan a conjecture degree by degree
-    cache {rebuild,verify} --n N         manage the descent-count cache
     list-checks                          list check and conjecture ids
 
 Exit status: 0 when the requested computation verified or holds up to the
@@ -35,7 +34,7 @@ from .checks import (
 )
 from .grids import GridResourceError, enumerate_grid, parse_grid_matrix
 from .permutations import format_perm
-from .qsym import cache_dir, descent_count_table, schur_expand, verify_table_file
+from .qsym import schur_expand
 from .setexpr import ExprError, evaluate
 
 __all__ = ["main"]
@@ -120,10 +119,6 @@ def _build_parser() -> _ArgumentParser:
         "--json", metavar="FILE", help="also write the scan report as JSON"
     )
 
-    p_cache = sub.add_parser("cache", help="manage the descent-count table cache")
-    p_cache.add_argument("action", choices=["rebuild", "verify"])
-    p_cache.add_argument("--n", type=int, required=True, help="table degree")
-
     sub.add_parser("list-checks", help="list registered checks and conjectures")
 
     return parser
@@ -197,26 +192,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return _status_exit(report.status)
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise _UsageError("--n must be >= 0")
-    if args.action == "rebuild":
-        table = descent_count_table(args.n, refresh=True)
-        print(
-            f"rebuilt descent-count table for degree {args.n} "
-            f"({len(table.counts)} partitions) in {cache_dir()}"
-        )
-        return EXIT_OK
-    if verify_table_file(args.n):
-        print(f"cache file for degree {args.n} verified")
-        return EXIT_OK
-    print(
-        f"cache file for degree {args.n} is missing, corrupt, or stale",
-        file=sys.stderr,
-    )
-    return EXIT_USAGE
-
-
 def _cmd_list_checks(_args: argparse.Namespace) -> int:
     print("checks (id, default degree, statement):")
     for check_id, default_n, description in list_checks():
@@ -239,8 +214,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_check(args)
         if args.command == "scan":
             return _cmd_scan(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
         return _cmd_list_checks(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ A degree-``n`` quasisymmetric function is a dense integer vector indexed by
 subsets of ``[n-1]`` (bitmask order); a symmetric function is a map from
 partitions of ``n`` to integers.  The bridge between the two worlds is the
 descent-count table ``d[shape][descent-set]`` = number of standard tableaux
-of the shape with that descent set.  Summing a column of the table over the
-subsets of the partial sums of ``lambda`` gives the Kostka number
+of the shape with that descent set, built once per degree in memory by
+placing the entries ``1..n`` one at a time.  Summing a column of the table
+over the subsets of the partial sums of ``lambda`` gives the Kostka number
 ``K[mu][lambda]``, and the Kostka matrix is unitriangular in the
 lex-decreasing order of :func:`partitions`.  So the Schur coefficients of a
 vector follow from its monomial coefficients by integer back-substitution;
@@ -21,12 +22,10 @@ it is not.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -44,7 +43,6 @@ from .tableaux import (
     SkewShape,
     enumerate_syt,
     partitions,
-    straight_shape,
     syt_des,
 )
 
@@ -535,7 +533,8 @@ def schur_f_vector(e: SchurExpansion) -> QSym:
 # ---------------------------------------------------------------------------
 
 
-def _addable_corners(mu: Partition) -> list[Partition]:
+def _addable_corners(mu: Partition) -> list[tuple[int, Partition]]:
+    """The row of each addable box, with the shape it makes."""
     out = []
     rows = len(mu)
     for i in range(rows + 1):
@@ -543,7 +542,7 @@ def _addable_corners(mu: Partition) -> list[Partition]:
         above = mu[i - 1] if i > 0 else None
         if above is None or above > here:
             new = list(mu[:i]) + [here + 1] + list(mu[i + 1 :] if i < rows else [])
-            out.append(tuple(new))
+            out.append((i, tuple(new)))
     return out
 
 
@@ -569,7 +568,7 @@ def pieri_up(e: SchurExpansion) -> SchurExpansion:
     """
     data: dict[Partition, int] = {}
     for mu, c in e.coeffs:
-        for new in _addable_corners(mu):
+        for _, new in _addable_corners(mu):
             data[new] = data.get(new, 0) + c
     return SchurExpansion.from_dict(e.n + 1, data)
 
@@ -590,7 +589,7 @@ def pieri_down(e: SchurExpansion) -> SchurExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Descent-count table with on-disk cache
+# Descent-count table, built in memory by placing one entry at a time
 # ---------------------------------------------------------------------------
 
 
@@ -627,7 +626,7 @@ class DescentCountTable:
 
 
 def cache_dir() -> Path:
-    """Directory for descent-count table files (override with the
+    """Base directory of persisted scan verdicts (override with the
     SCHURGRID_CACHE_DIR environment variable)."""
     env = os.environ.get("SCHURGRID_CACHE_DIR")
     if env:
@@ -635,124 +634,42 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "schurgrid"
 
 
-def _table_entries(table: DescentCountTable) -> list[dict]:
-    entries = []
-    for mu in partitions(table.n):
-        col = table.counts[mu]
-        for mask in range(len(col)):
-            if col[mask]:
-                entries.append(
-                    {
-                        "lambda": list(mu),
-                        "D": list(DescSet(table.n, mask).members),
-                        "count": col[mask],
-                    }
-                )
-    return entries
-
-
-def _entries_checksum(entries: list[dict]) -> str:
-    canonical = json.dumps(entries, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _compute_table(n: int) -> DescentCountTable:
-    counts: dict[Partition, tuple[int, ...]] = {}
-    for mu in partitions(n):
-        v = [0] * _width(n)
-        for t in enumerate_syt(straight_shape(mu)):
-            v[syt_des(t).mask] += 1
-        counts[mu] = tuple(v)
-    return DescentCountTable(n, counts)
-
-
-def _table_path(n: int) -> Path:
-    return cache_dir() / f"dtable_{n}.json"
-
-
-def write_table(table: DescentCountTable) -> Path:
-    """Atomically persist a table (complete temp file, then rename)."""
-    path = _table_path(table.n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entries = _table_entries(table)
-    payload = {
-        "n": table.n,
-        "entries": entries,
-        "checksum": _entries_checksum(entries),
-    }
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f"dtable_{table.n}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def _load_table(n: int) -> DescentCountTable | None:
-    path = _table_path(n)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    entries = payload.get("entries")
-    if (
-        payload.get("n") != n
-        or not isinstance(entries, list)
-        or payload.get("checksum") != _entries_checksum(entries)
-    ):
-        return None
+    """Place the entries 1..n one at a time.  A state is the shape filled so
+    far with the row of its largest entry, and holds the tableau counts by
+    descent mask.  Entry k+1 placed in a row below that of k makes k a
+    descent; any other row does not, so a state's vector only moves into the
+    upper or the lower half of the next one and is never recounted."""
+    if n == 0:
+        return DescentCountTable(0, {(): (1,)})
+    states: dict[tuple[Partition, int], list[int]] = {((1,), 0): [1]}
+    for k in range(1, n):
+        width = _width(k)
+        grown: dict[tuple[Partition, int], list[int]] = {}
+        for (shape, row), vec in states.items():
+            for r, new in _addable_corners(shape):
+                acc = grown.setdefault((new, r), [0] * (2 * width))
+                lo = width if r > row else 0
+                acc[lo : lo + width] = map(add, acc[lo : lo + width], vec)
+        states = grown
     counts = {mu: [0] * _width(n) for mu in partitions(n)}
-    try:
-        for item in entries:
-            mu = tuple(item["lambda"])
-            mask = DescSet.of(n, item["D"]).mask
-            counts[mu][mask] = int(item["count"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    table = DescentCountTable(n, {mu: tuple(v) for mu, v in counts.items()})
-    # A self-consistent file can still hold a wrong table; the Schur solve
-    # relies on a unitriangular Kostka matrix, so refuse any other.
-    unitriangular = all(
-        row[i] == 1 and not any(row[:i]) for i, row in enumerate(table.kostka)
-    )
-    return table if unitriangular else None
+    for (shape, _), vec in states.items():
+        counts[shape] = list(map(add, counts[shape], vec))
+    return DescentCountTable(n, {mu: tuple(v) for mu, v in counts.items()})
 
 
 _table_memory: dict[int, DescentCountTable] = {}
 
 
-def descent_count_table(n: int, refresh: bool = False) -> DescentCountTable:
-    """The cached descent-count table of degree ``n``; missing, corrupt or
-    non-unitriangular cache files are recomputed and rewritten.
+def descent_count_table(n: int) -> DescentCountTable:
+    """The descent-count table of degree ``n``, built once per process.
 
     >>> descent_count_table(3).entry((2, 1), DescSet.of(3, [1]))
     1
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if not refresh and n in _table_memory:
-        return _table_memory[n]
-    table = None if refresh else _load_table(n)
+    table = _table_memory.get(n)
     if table is None:
-        table = _compute_table(n)
-        write_table(table)
-    _table_memory[n] = table
+        table = _table_memory[n] = _compute_table(n)
     return table
-
-
-def verify_table_file(n: int) -> bool:
-    """Whether the on-disk cache file for degree ``n`` exists, has a valid
-    checksum, and matches a fresh recomputation."""
-    loaded = _load_table(n)
-    if loaded is None:
-        return False
-    return loaded == _compute_table(n)

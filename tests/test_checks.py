@@ -138,14 +138,23 @@ def test_scan_holds_and_persists():
     assert [r.verdict for r in again.records] == ["holds", "holds"]
 
 
-def test_scan_rerun_detects_tampered_verdict():
-    scan_conjecture("conj-10-2", 3)
-    path = results_dir() / "conj-10-2-n3.json"
+TAMPERS = {
+    "verdict": ("conj-10-2", 3, lambda verdict: "refuted"),
+    "cases": ("conj-10-2", 3, lambda cases: cases + 1),
+    "witness": ("knuth-product", 5, lambda witness: witness + " (edited)"),
+}
+
+
+@pytest.mark.parametrize("field", TAMPERS)
+def test_scan_rerun_detects_tampered_verdict(field):
+    conj_id, n, tamper = TAMPERS[field]
+    scan_conjecture(conj_id, n)
+    path = results_dir() / f"{conj_id}-n{n}.json"
     payload = json.loads(path.read_text())
-    payload["verdict"] = "refuted"
+    payload[field] = tamper(payload[field])
     path.write_text(json.dumps(payload))
     with pytest.raises(RuntimeError, match="stored verdict"):
-        scan_conjecture("conj-10-2", 3)
+        scan_conjecture(conj_id, n)
 
 
 def test_scan_budget_stop(monkeypatch):

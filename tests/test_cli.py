@@ -139,29 +139,6 @@ def test_scan_refuted_exits_two_with_witness(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_rebuild_verify_and_tamper(capsys, tmp_path):
-    code, out, _ = run(capsys, ["cache", "rebuild", "--n", "3"])
-    assert code == EXIT_OK
-    assert "rebuilt descent-count table for degree 3 (3 partitions)" in out
-
-    code, out, _ = run(capsys, ["cache", "verify", "--n", "3"])
-    assert code == EXIT_OK
-    assert out == "cache file for degree 3 verified\n"
-
-    table = tmp_path / "cache" / "dtable_3.json"
-    payload = json.loads(table.read_text())
-    payload["entries"][0]["count"] = 999
-    table.write_text(json.dumps(payload))
-    code, _, err = run(capsys, ["cache", "verify", "--n", "3"])
-    assert code == EXIT_USAGE
-    assert "missing, corrupt, or stale" in err
-
-
-# ---------------------------------------------------------------------------
 # list-checks and the console script
 # ---------------------------------------------------------------------------
 
@@ -209,6 +186,13 @@ def test_console_script_is_wired(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == "s[4] + s[3,1]\n"
     assert invoke("qsym", "S(x)").returncode == EXIT_USAGE
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurgrid", "qsym", "C(4)", "--schur"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "s[4] + s[3,1]\n"
 
 
 @pytest.mark.skipif(

@@ -1,4 +1,4 @@
-"""Fundamental-basis vectors, Schur expansion, and the descent-count cache.
+"""Fundamental-basis vectors, Schur expansion, and the descent-count table.
 
 Independent oracles: a brute monomial evaluator, the shuffle rule for
 products, skew-tableau enumeration, and inclusion-exclusion between weak
@@ -7,6 +7,7 @@ and exact inverse descent classes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from schurgrid import qsym
 from schurgrid.permutations import DescSet, des_set, des_mask, shuffle_words
 from schurgrid.qsym import (
-    DescentCountTable,
     NotSymmetric,
     QSym,
     SchurExpansion,
@@ -34,8 +34,6 @@ from schurgrid.qsym import (
     schur_expand,
     schur_f_vector,
     skew_schur_f_vector,
-    verify_table_file,
-    write_table,
 )
 from schurgrid.tableaux import (
     SkewShape,
@@ -326,12 +324,12 @@ def test_pieri_down_counts_corner_removals():
 
 
 # ---------------------------------------------------------------------------
-# Descent-count table and its cache
+# Descent-count table
 # ---------------------------------------------------------------------------
 
 
 def test_descent_count_table_matches_tableau_enumeration():
-    for n in range(1, 6):
+    for n in range(0, 9):
         table = descent_count_table(n)
         for mu in partitions(n):
             brute = [0] * (1 << max(n - 1, 0))
@@ -341,44 +339,47 @@ def test_descent_count_table_matches_tableau_enumeration():
             assert sum(brute) == count_syt(straight_shape(mu))
 
 
-def test_cache_round_trip_and_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCHURGRID_CACHE_DIR", str(tmp_path))
-    assert cache_dir() == tmp_path
-    table = descent_count_table(4, refresh=True)
-    path = tmp_path / "dtable_4.json"
-    assert path.exists()
-    assert verify_table_file(4)
-
-    payload = json.loads(path.read_text())
-    payload["entries"][0]["count"] += 1  # tamper with a count
-    path.write_text(json.dumps(payload))
-    assert not verify_table_file(4)
-
-    rebuilt = descent_count_table(4, refresh=True)
-    assert rebuilt == table
-    assert verify_table_file(4)
-
-    path.write_text("{not json")
-    assert not verify_table_file(4)
-    assert descent_count_table(4, refresh=True) == table
-    assert verify_table_file(4)
-
-    write_table(table)
-    assert verify_table_file(4)
+def plant_table_file(path, n, counts):
+    """Write ``counts`` in the checksummed ``dtable_<n>.json`` layout that
+    earlier versions kept under ``SCHURGRID_CACHE_DIR`` and loaded."""
+    entries = [
+        {"lambda": list(mu), "D": list(DescSet(n, mask).members), "count": c}
+        for mu in partitions(n)
+        for mask, c in enumerate(counts[mu])
+        if c
+    ]
+    canonical = json.dumps(entries, separators=(",", ":"), sort_keys=True)
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps({"n": n, "entries": entries, "checksum": checksum}))
 
 
-def test_wrong_cached_table_is_rejected_and_rewritten(monkeypatch):
-    # A table with the (3,1) and (2,2) columns swapped and a valid checksum
-    # would give the S_4 expansion 2*s[3,1] + 3*s[2,2]; its Kostka matrix is
-    # not unitriangular, so the file is recomputed instead of trusted.
-    good = descent_count_table(4)
-    counts = dict(good.counts)
-    counts[(3, 1)], counts[(2, 2)] = counts[(2, 2)], counts[(3, 1)]
-    write_table(DescentCountTable(4, counts))
-    assert not verify_table_file(4)
-    monkeypatch.delitem(qsym._table_memory, 4)
+def test_planted_table_files_are_ignored(tmp_path, monkeypatch):
+    # Two wrong tables with valid checksums: the (3,1) and (2,2) columns
+    # swapped (the S_4 expansion would read 2*s[3,1] + 3*s[2,2]), and one
+    # entry raised, which leaves the Kostka matrix unitriangular.  Tables
+    # are built in memory only, so neither file is read and none is written.
+    monkeypatch.setenv("SCHURGRID_CACHE_DIR", str(tmp_path / "planted"))
+    cache = cache_dir()
+    assert cache == tmp_path / "planted"
+    monkeypatch.setattr(qsym, "_table_memory", {})
+    good = descent_count_table(4).counts
+    assert not cache.exists()
 
-    e = schur_expand(qsym_of(itertools.permutations(range(1, 5))))
-    assert e.serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
-    assert descent_count_table(4) == good
-    assert verify_table_file(4)
+    swapped = dict(good)
+    swapped[(3, 1)], swapped[(2, 2)] = good[(2, 2)], good[(3, 1)]
+    raised = dict(good)
+    bumped = list(good[(4,)])
+    bumped[DescSet.of(4, [1]).mask] += 1
+    raised[(4,)] = tuple(bumped)
+
+    cache.mkdir(parents=True)
+    path = cache / "dtable_4.json"
+    for counts in (swapped, raised):
+        plant_table_file(path, 4, counts)
+        planted = path.read_bytes()
+        monkeypatch.setattr(qsym, "_table_memory", {})
+        e = schur_expand(qsym_of(itertools.permutations(range(1, 5))))
+        assert e.serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
+        assert descent_count_table(4).counts == good
+        assert list(cache.iterdir()) == [path]
+        assert path.read_bytes() == planted
