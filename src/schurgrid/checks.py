@@ -1,14 +1,18 @@
 """Registry of machine-verified identities and conjecture scanners.
 
-Every entry pairs a named claim about descent generating functions of
-permutation sets with an executable verification that compares two
-independently computed sides in exact integer arithmetic.  Results are
-returned as structured reports; conjecture scans additionally persist
-one verdict file per degree so that later runs can re-verify them.
+Every check pairs a named claim about descent generating functions of
+permutation sets with a runner that computes two sides by independent
+routes and compares them in exact integer arithmetic.  Each check and
+scanner is declared once, by the ``@_check`` / ``@_scan`` decorator on
+its runner: id, degrees, cost model and statement.  ``run_check`` hands
+the runner a fresh case ledger and returns a structured report;
+``scan_conjecture`` persists one verdict file per degree so that later
+runs can re-verify them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +21,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -144,15 +148,7 @@ class CheckReport:
     notes: str = ""
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "check_id": self.check_id,
-            "n": self.n,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "CheckReport":
@@ -282,12 +278,6 @@ def _battery_count(n: int) -> int:
     )
 
 
-def _battery_elems(n: int) -> int:
-    # knuth/conj/invfix/Dinv families partition the full group once each;
-    # the nested colayered family contributes roughly two more copies
-    return 6 * _fact(n)
-
-
 def _dessets(n: int, top: int) -> list[DescSet]:
     """All descent sets of degree ``n`` supported inside ``{1..top}``."""
     items = list(range(1, top + 1))
@@ -306,28 +296,16 @@ def _sign_vectors(max_len: int, min_len: int = 1) -> list[tuple[int, ...]]:
     return out
 
 
-_RIBBON_CACHE: dict[tuple[int, int], SchurExpansion] = {}
-_RIBBON_F_CACHE: dict[tuple[int, int], QSym] = {}
-
-
+@functools.cache
 def _ribbon_f(n: int, d: DescSet) -> QSym:
-    key = (n, d.mask)
-    got = _RIBBON_F_CACHE.get(key)
-    if got is None:
-        got = skew_schur_f_vector(ribbon_shape(n, d))
-        _RIBBON_F_CACHE[key] = got
-    return got
+    return skew_schur_f_vector(ribbon_shape(n, d))
 
 
+@functools.cache
 def _ribbon_schur(n: int, d: DescSet) -> SchurExpansion:
-    key = (n, d.mask)
-    got = _RIBBON_CACHE.get(key)
-    if got is None:
-        e = schur_expand(_ribbon_f(n, d))
-        assert isinstance(e, SchurExpansion)
-        _RIBBON_CACHE[key] = e
-        got = e
-    return got
+    e = schur_expand(_ribbon_f(n, d))
+    assert isinstance(e, SchurExpansion)
+    return e
 
 
 def _expanded_battery(
@@ -395,12 +373,68 @@ def _wide_matrix_corpus() -> list[tuple[str, GridMatrix]]:
 
 
 # ---------------------------------------------------------------------------
-# Check runners (each returns a populated _CaseLedger)
+# Registry
 # ---------------------------------------------------------------------------
 
 
-def _run_thm_main_1(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+_Runner = Callable[..., object]
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One registered check or scanner.  ``cost(n)`` estimates the work at
+    degree ``n`` against the check budget; ``fixed_n`` pins a check to
+    ``default_n``.  A check's runner fills the ledger it is given; a
+    scanner's runner returns ``(verdict, cases, witness)``."""
+
+    id: str
+    default_n: int
+    min_n: int
+    cost: Callable[[int], int]
+    statement: str
+    runner: _Runner
+    fixed_n: bool = False
+
+
+_REGISTRY: dict[str, _Spec] = {}
+_SCANS: dict[str, _Spec] = {}
+
+
+def _check(
+    check_id: str, default_n: int, min_n: int, cost: Callable[[int], int],
+    statement: str, fixed_n: bool = False,
+) -> Callable[[_Runner], _Runner]:
+    """Register the decorated ``runner(led, n)`` as a check."""
+    def register(runner: _Runner) -> _Runner:
+        spec = _Spec(check_id, default_n, min_n, cost, statement, runner, fixed_n)
+        _REGISTRY[check_id] = spec
+        return runner
+    return register
+
+
+def _scan(
+    conj_id: str, min_n: int, cost: Callable[[int], int], statement: str
+) -> Callable[[_Runner], _Runner]:
+    """Register the decorated ``runner(n)`` as a scanner from degree ``min_n``."""
+    def register(runner: _Runner) -> _Runner:
+        _SCANS[conj_id] = _Spec(conj_id, min_n, min_n, cost, statement, runner)
+        return runner
+    return register
+
+
+# ---------------------------------------------------------------------------
+# Check runners (each fills the ledger that run_check passes in)
+# ---------------------------------------------------------------------------
+
+
+@_check(
+    "thm-main-1", 5, 2,
+    lambda n: _battery_count(n) * _fubini(n) * (6 * _fact(n) // _battery_count(n)),
+    "Right multiset product with a weak inverse-descent class matches the"
+    " pointwise character product route and is Schur-positive; the weak"
+    " class expands as the sum of its ribbon summands.",
+)
+def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
     for d in _dessets(n, n - 1):
         rclass = inv_weak_descent_class(n, d)
@@ -427,11 +461,16 @@ def _run_thm_main_1(n: int) -> _CaseLedger:
                 "Schur-positive" if is_schur_positive(rhs_e) else rhs_e.serialize(),
                 "Schur-positive",
             )
-    return led
 
 
-def _run_thm_main_2(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "thm-main-2", 5, 2,
+    lambda n: 6 * _fact(n) ** 2 if n <= 5 else 60 * (6 * _fact(n) // _battery_count(n)) * (_fact(n) >> (n - 1)),
+    "Right multiset product with an exact inverse-descent class matches"
+    " the character product against the class's ribbon; exhaustive"
+    " battery x subsets through degree 5, seeded sample of 60 beyond.",
+)
+def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
     dessets = _dessets(n, n - 1)
     pairs = [(i, d) for i in range(len(battery)) for d in dessets]
@@ -453,17 +492,19 @@ def _run_thm_main_2(n: int) -> _CaseLedger:
             "Schur-positive" if is_schur_positive(rhs_e) else rhs_e.serialize(),
             "Schur-positive",
         )
-    return led
 
 
-def _run_cor_vertical(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-vertical", 7, 2, lambda n: n * _fact(n),
+    "Vertical rotations of an inverse-descent class have the descent"
+    " generating function of the remove-then-add-a-corner route.",
+)
+def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     for d in _dessets(n, n - 1):
         lhs = product_qsym(cyc, inv_descent_class(n, d))
         rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
         led.add(f"D{d.braces()}", lhs.serialize(), rhs.serialize())
-    return led
 
 
 def _r2_expected(n: int) -> SchurExpansion:
@@ -479,15 +520,22 @@ def _r2_expected(n: int) -> SchurExpansion:
     return _schur_sum(n, items)
 
 
-def _run_prop_r2(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "prop-R2", 7, 3, lambda n: n * _fact(n),
+    "Closed Schur form of the two-strip cyclic ball (inverse cyclic"
+    " descents at most 2).",
+)
+def _run_prop_r2(led: _CaseLedger, n: int) -> None:
     e = schur_expand(qsym_of(zigzag_class(n, 2), n))
     led.add("closed form", e.serialize(), _r2_expected(n).serialize())
-    return led
 
 
-def _run_eq_recurrence(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "eq-recurrence", 7, 2, lambda n: 2 * n * n * _fact(n) + n**n,
+    "Scaling recurrence tying the k-strip cyclic ball to vertical"
+    " rotations of the k-cell one-column class.",
+)
+def _run_eq_recurrence(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     prev = qsym_of(zigzag_class(n, 1), n)
     led.add("base", prev.serialize(), qsym_of(cyc, n).serialize())
@@ -496,11 +544,13 @@ def _run_eq_recurrence(n: int) -> _CaseLedger:
         rhs = product_qsym(cyc, plus_class(n, k)) - prev.scale(n - k)
         led.add(f"k={k}", cur.scale(k).serialize(), rhs.serialize())
         prev = cur
-    return led
 
 
-def _run_arc_formula(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "arc-formula", 7, 2, lambda n: 2 * 4**n + n * _fact(n),
+    "Closed Schur form of the circular-prefix (arc) class.",
+)
+def _run_arc_formula(led: _CaseLedger, n: int) -> None:
     items: list[tuple[tuple[int, ...], int]] = [((n,), 1), ((1,) * n, 1)]
     for k in range(1, n - 1):
         items.append(((n - k,) + (1,) * k, 2))
@@ -512,11 +562,15 @@ def _run_arc_formula(n: int) -> _CaseLedger:
         e.serialize(),
         _schur_sum(n, items).serialize(),
     )
-    return led
 
 
-def _run_thm_horizontal1(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "thm-horizontal1", 7, 2, lambda n: 4 * _fact(n) + n * _fubini(n - 1),
+    "Horizontal rotations of an inverse-descent class: set structure,"
+    " explicit descent-preserving bijection onto strip chain tableaux,"
+    " and two quasisymmetric routes.",
+)
+def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     for d in _dessets(n - 1, n - 2):
         dn = DescSet.of(n, d.members)
@@ -566,11 +620,14 @@ def _run_thm_horizontal1(n: int) -> _CaseLedger:
             exact.qsym().serialize(),
             schur_f_vector(pieri_up(_ribbon_schur(n - 1, d))).serialize(),
         )
-    return led
 
 
-def _run_cor_rotated_shuffles2(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-rotated-shuffles2", 7, 2, lambda n: 3 * n * _fact(n) + n * n**n,
+    "Every k-strip cyclic ball is fine and factors as horizontal"
+    " rotations of the k-cell ascending one-column class.",
+)
+def _run_cor_rotated_shuffles2(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     for k in range(1, n + 1):
         z = zigzag_class(n, k)
@@ -581,11 +638,14 @@ def _run_cor_rotated_shuffles2(n: int) -> _CaseLedger:
         )
         rotated = set_product(embed(plus_class(n - 1, k), n), cyc)
         led.add_sets(f"k={k} factorization", z, rotated)
-    return led
 
 
-def _run_cor_cyc_fine(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-cyc-fine", 7, 2, lambda n: 2 * n * _fact(n),
+    "Level sets of the inverse cyclic descent number expand as sums of"
+    " corner-added ribbons.",
+)
+def _run_cor_cyc_fine(led: _CaseLedger, n: int) -> None:
     for k in range(1, n):
         rhs = SchurExpansion.zero(n)
         for d in _dessets(n - 1, n - 2):
@@ -596,11 +656,15 @@ def _run_cor_cyc_fine(n: int) -> _CaseLedger:
             qsym_of(cdes_inverse_class(n, k), n).serialize(),
             schur_f_vector(rhs).serialize(),
         )
-    return led
 
 
-def _run_cor_lc_cl(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-LC-CL", 7, 2, lambda n: 4 * 4**n + n * (1 << n) + _fact(n) // 100 + 1,
+    "Horizontal and vertical rotations of the left-unimodal class share"
+    " one descent generating function; only the vertical ones give the"
+    " arc class as a set.",
+)
+def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
     lifted = embed(left_unimodal_class(n - 1), n)
     cyc = cyclic_class(n)
     arcs = arc_class(n)
@@ -636,11 +700,14 @@ def _run_cor_lc_cl(n: int) -> _CaseLedger:
             f"in product: {p in lc.support()}; arc: {p in arcs}",
             "in product: True; arc: False",
         )
-    return led
 
 
-def _run_cor_hrc(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-hrc", 7, 3, lambda n: (n - 1) ** (n - 1) + n * (1 << n),
+    "Horizontal rotations of each fresh colayer band expand into at most"
+    " three hook-like Schur terms.",
+)
+def _run_cor_hrc(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     prev = colayered_class(n - 1, 1)
     for k in range(2, n):
@@ -657,11 +724,15 @@ def _run_cor_hrc(n: int) -> _CaseLedger:
         )
         led.add(f"k={k}", lhs.serialize(), schur_f_vector(rhs).serialize())
         prev = cur
-    return led
 
 
-def _run_prop_reflections(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "prop-reflections", 6, 1, lambda n: 60 * 4**n,
+    "Vertical/horizontal flips of a fine grid class equal left/right"
+    " composition with the order-reversing permutation and twist the"
+    " expansion by the sign character.",
+)
+def _run_prop_reflections(led: _CaseLedger, n: int) -> None:
     w0 = longest_element(n)
     for name, m in _fine_matrix_corpus():
         g = enumerate_grid(m, n)
@@ -683,11 +754,15 @@ def _run_prop_reflections(n: int) -> _CaseLedger:
         twisted = schur_f_vector(sign_twist(e)).serialize()
         led.add(f"{name} vertical flip qsym", qsym_of(vclass, n).serialize(), twisted)
         led.add(f"{name} horizontal flip qsym", qsym_of(hclass, n).serialize(), twisted)
-    return led
 
 
-def _run_cor_equid_rotation(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-equid-rotation", 6, 3, lambda n: 60 * 4**n + 2 * _fact(n),
+    "Half-turn rotation preserves the descent generating function of"
+    " Schur-positive grid classes, but not of a two-cell row witness"
+    " whose exact degree-3 values are frozen.",
+)
+def _run_cor_equid_rotation(led: _CaseLedger, n: int) -> None:
     for name, m in _wide_matrix_corpus():
         q = qsym_of(enumerate_grid(m, n), n)
         e = schur_expand(q)
@@ -716,19 +791,23 @@ def _run_cor_equid_rotation(n: int) -> _CaseLedger:
         "differs" if q3 != q3r else "equal",
         "differs",
     )
-    return led
 
 
-def _run_kj_cardinality(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "kj-cardinality", 8, 3, lambda n: 2 * 4**n,
+    "Both four-cell interleaving families have (n-2)*2^(n-1)+2 members.",
+)
+def _run_kj_cardinality(led: _CaseLedger, n: int) -> None:
     expected = str((n - 2) * (1 << (n - 1)) + 2)
     led.add("interleaved identity family", str(len(j_class(n))), expected)
     led.add("interleaved reversal family", str(len(k_class(n))), expected)
-    return led
 
 
-def _run_j_formula(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "j-formula", 7, 3, lambda n: 4**n + n * n,
+    "Closed Schur form of the identity-interleaving family.",
+)
+def _run_j_formula(led: _CaseLedger, n: int) -> None:
     items: list[tuple[tuple[int, ...], int]] = [((n,), 1)]
     for a in range(1, n // 2 + 1):
         items.append(((n - a, a), n - 2 * a + 1))
@@ -736,11 +815,13 @@ def _run_j_formula(n: int) -> _CaseLedger:
         items.append(((n - a - 1, a, 1), n - 2 * a))
     e = schur_expand(qsym_of(j_class(n), n))
     led.add("closed form", e.serialize(), _schur_sum(n, items).serialize())
-    return led
 
 
-def _run_k_formula(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "k-formula", 7, 3, lambda n: 4**n + n * n,
+    "Closed Schur form of the reversal-interleaving family.",
+)
+def _run_k_formula(led: _CaseLedger, n: int) -> None:
     items: list[tuple[tuple[int, ...], int]] = [((n,), 1), ((1,) * n, 1)]
     for k in range(1, n - 1):
         items.append(((n - k,) + (1,) * k, 2))
@@ -748,11 +829,14 @@ def _run_k_formula(n: int) -> _CaseLedger:
         items.append(((n - k - 1, 2) + (1,) * (k - 1), 2))
     e = schur_expand(qsym_of(k_class(n), n))
     led.add("closed form", e.serialize(), _schur_sum(n, items).serialize())
-    return led
 
 
-def _run_qsh_formula(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "qsh-formula", 7, 2, lambda n: 2**n + n * n,
+    "Closed Schur form and cardinality 2^n-n of the two-cell ascending"
+    " one-column class.",
+)
+def _run_qsh_formula(led: _CaseLedger, n: int) -> None:
     cls = plus_class(n, 2)
     items: list[tuple[tuple[int, ...], int]] = [((n,), 1)]
     for a in range(1, n // 2 + 1):
@@ -760,30 +844,38 @@ def _run_qsh_formula(n: int) -> _CaseLedger:
     e = schur_expand(qsym_of(cls, n))
     led.add("closed form", e.serialize(), _schur_sum(n, items).serialize())
     led.add("cardinality", str(len(cls)), str(2**n - n))
-    return led
 
 
-def _run_ll_formula(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "ll-formula", 7, 2, lambda n: 2**n + n * n,
+    "Closed hook-sum form and cardinality 2^(n-1) of the left-unimodal"
+    " class.",
+)
+def _run_ll_formula(led: _CaseLedger, n: int) -> None:
     cls = left_unimodal_class(n)
     items = [((n - k,) + (1,) * k, 1) for k in range(n)]
     e = schur_expand(qsym_of(cls, n))
     led.add("closed form", e.serialize(), _schur_sum(n, items).serialize())
     led.add("cardinality", str(len(cls)), str(1 << (n - 1)))
-    return led
 
 
-def _run_colayer_hooks(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "colayer-hooks", 7, 1, lambda n: 2 * n**n,
+    "Each colayer ball expands as the first k hook Schur functions.",
+)
+def _run_colayer_hooks(led: _CaseLedger, n: int) -> None:
     for k in range(1, n + 1):
         items = [((n - j,) + (1,) * j, 1) for j in range(k)]
         e = schur_expand(qsym_of(colayered_class(n, k), n))
         led.add(f"k={k}", e.serialize(), _schur_sum(n, items).serialize())
-    return led
 
 
-def _run_onecol_zigzags(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "onecol-zigzags", 7, 2, lambda n: (1 << (n - 1)) * (n - 1) ** n + n * _fact(n),
+    "A one-column class expands over the ribbons of the sign words that"
+    " avoid its sign vector as a subsequence.",
+)
+def _run_onecol_zigzags(led: _CaseLedger, n: int) -> None:
     universe = _sign_vectors(n - 1, min_len=n - 1)
     ribbons = {
         u: _ribbon_f(n, DescSet.of(n, [i + 1 for i, s in enumerate(u) if s > 0]))
@@ -799,11 +891,14 @@ def _run_onecol_zigzags(n: int) -> _CaseLedger:
             qsym_of(one_column_class(v, n), n).serialize(),
             rhs.serialize(),
         )
-    return led
 
 
-def _run_prop_prod_onecol(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "prop-prod-onecol", 6, 2, lambda n: 12 * 6**n,
+    "Composing a one-column class with a grid class lands exactly on the"
+    " stacked grid class (seeded sample of pairs).",
+)
+def _run_prop_prod_onecol(led: _CaseLedger, n: int) -> None:
     mats = [
         ("identity[2]", identity_matrix(2)),
         ("identity[3]", identity_matrix(3)),
@@ -819,11 +914,14 @@ def _run_prop_prod_onecol(n: int) -> _CaseLedger:
         left = set_product(one_column_class(v, n), enumerate_grid(m, n))
         right = enumerate_grid(stack_matrix(v, m), n)
         led.add_sets(f"{format_sign_vector(v)} over {name}", left, right)
-    return led
 
 
-def _run_cor_star(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "cor-star", 6, 2, lambda n: 100 * 9**n,
+    "Composing two one-column classes lands exactly on the one-column"
+    " class of the star product of their sign vectors.",
+)
+def _run_cor_star(led: _CaseLedger, n: int) -> None:
     led.add(
         "star of -+ with +--",
         format_sign_vector(star_product((-1, 1), (1, -1, -1))),
@@ -837,21 +935,27 @@ def _run_cor_star(n: int) -> _CaseLedger:
             led.add_sets(
                 f"{format_sign_vector(v)} * {format_sign_vector(w)}", left, right
             )
-    return led
 
 
-def _run_thm_horiz_induction(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "thm-horiz-induction", 6, 2, lambda n: 6 * _fact(n),
+    "Horizontal rotations of any fine battery set expand by adding one"
+    " corner cell to its Schur support.",
+)
+def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     for name, bset, be in _expanded_battery(n - 1):
         lhs = product_qsym(embed(bset, n), cyc)
         rhs = schur_f_vector(pieri_up(be))
         led.add(name, lhs.serialize(), rhs.serialize())
-    return led
 
 
-def _run_neg_arc_grid(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "neg-arc-grid", 4, 4, lambda n: 4**n,
+    "A single arc-family grid component is not even symmetric.",
+    fixed_n=True,
+)
+def _run_neg_arc_grid(led: _CaseLedger, n: int) -> None:
     m = arc_matrices()[0]
     e = schur_expand(qsym_of(enumerate_grid(m, n), n))
     if isinstance(e, NotSymmetric):
@@ -860,11 +964,15 @@ def _run_neg_arc_grid(n: int) -> _CaseLedger:
     else:
         verdict = f"symmetric: {e.serialize()}"
     led.add(f"grid {format_grid_matrix(m)}", verdict, "not symmetric")
-    return led
 
 
-def _run_neg_knuth_rot(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "neg-knuth-rot", 5, 5, lambda n: 4 * _fact(5),
+    "Vertical rotations of an embedded plactic class can fail to be"
+    " fine even though the class and its horizontal rotations are fine.",
+    fixed_n=True,
+)
+def _run_neg_knuth_rot(led: _CaseLedger, n: int) -> None:
     base = frozenset({parse_perm("2143"), parse_perm("2413")})
     lifted = embed(base, 5)
     e_base = schur_expand(qsym_of(base, 4))
@@ -887,11 +995,15 @@ def _run_neg_knuth_rot(n: int) -> _CaseLedger:
         _fineness(e_horiz),
         "symmetric and Schur-positive",
     )
-    return led
 
 
-def _run_neg_stack(n: int) -> _CaseLedger:
-    led = _CaseLedger()
+@_check(
+    "neg-stack", 6, 6, lambda n: 8 * 6**6,
+    "A stacked grid whose base is not one-column can fail symmetry; its"
+    " matrix and product factorization are pinned exactly.",
+    fixed_n=True,
+)
+def _run_neg_stack(led: _CaseLedger, n: int) -> None:
     v = (-1, 1)
     m = stack_matrix(v, identity_matrix(2))
     led.add("stacked matrix", format_grid_matrix(m), "+0/0+/0-/-0")
@@ -905,328 +1017,19 @@ def _run_neg_stack(n: int) -> _CaseLedger:
     else:
         verdict = f"symmetric: {e.serialize()}"
     led.add("asymmetry", verdict, "not symmetric")
-    return led
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Running checks
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class CheckSpec:
-    check_id: str
-    description: str
-    default_n: int
-    min_n: int
-    cost: Callable[[int], int]
-    runner: Callable[[int], _CaseLedger]
-    fixed_n: bool = False
-
-
-_REGISTRY: dict[str, CheckSpec] = {}
-
-
-def _register(spec: CheckSpec) -> None:
-    _REGISTRY[spec.check_id] = spec
-
-
-_register(
-    CheckSpec(
-        "thm-main-1",
-        "Right multiset product with a weak inverse-descent class matches the"
-        " pointwise character product route and is Schur-positive; the weak"
-        " class expands as the sum of its ribbon summands.",
-        5,
-        2,
-        lambda n: _battery_count(n) * _fubini(n) * (6 * _fact(n) // _battery_count(n)),
-        _run_thm_main_1,
-    )
-)
-_register(
-    CheckSpec(
-        "thm-main-2",
-        "Right multiset product with an exact inverse-descent class matches"
-        " the character product against the class's ribbon; exhaustive"
-        " battery x subsets through degree 5, seeded sample of 60 beyond.",
-        5,
-        2,
-        lambda n: 6 * _fact(n) ** 2 if n <= 5 else 60 * (6 * _fact(n) // _battery_count(n)) * (_fact(n) >> (n - 1)),
-        _run_thm_main_2,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-vertical",
-        "Vertical rotations of an inverse-descent class have the descent"
-        " generating function of the remove-then-add-a-corner route.",
-        7,
-        2,
-        lambda n: n * _fact(n),
-        _run_cor_vertical,
-    )
-)
-_register(
-    CheckSpec(
-        "prop-R2",
-        "Closed Schur form of the two-strip cyclic ball (inverse cyclic"
-        " descents at most 2).",
-        7,
-        3,
-        lambda n: n * _fact(n),
-        _run_prop_r2,
-    )
-)
-_register(
-    CheckSpec(
-        "eq-recurrence",
-        "Scaling recurrence tying the k-strip cyclic ball to vertical"
-        " rotations of the k-cell one-column class.",
-        7,
-        2,
-        lambda n: 2 * n * n * _fact(n) + n**n,
-        _run_eq_recurrence,
-    )
-)
-_register(
-    CheckSpec(
-        "arc-formula",
-        "Closed Schur form of the circular-prefix (arc) class.",
-        7,
-        2,
-        lambda n: 2 * 4**n + n * _fact(n),
-        _run_arc_formula,
-    )
-)
-_register(
-    CheckSpec(
-        "thm-horizontal1",
-        "Horizontal rotations of an inverse-descent class: set structure,"
-        " explicit descent-preserving bijection onto strip chain tableaux,"
-        " and two quasisymmetric routes.",
-        7,
-        2,
-        lambda n: 4 * _fact(n) + n * _fubini(n - 1),
-        _run_thm_horizontal1,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-rotated-shuffles2",
-        "Every k-strip cyclic ball is fine and factors as horizontal"
-        " rotations of the k-cell ascending one-column class.",
-        7,
-        2,
-        lambda n: 3 * n * _fact(n) + n * n**n,
-        _run_cor_rotated_shuffles2,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-cyc-fine",
-        "Level sets of the inverse cyclic descent number expand as sums of"
-        " corner-added ribbons.",
-        7,
-        2,
-        lambda n: 2 * n * _fact(n),
-        _run_cor_cyc_fine,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-LC-CL",
-        "Horizontal and vertical rotations of the left-unimodal class share"
-        " one descent generating function; only the vertical ones give the"
-        " arc class as a set.",
-        7,
-        2,
-        lambda n: 4 * 4**n + n * (1 << n) + _fact(n) // 100 + 1,
-        _run_cor_lc_cl,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-hrc",
-        "Horizontal rotations of each fresh colayer band expand into at most"
-        " three hook-like Schur terms.",
-        7,
-        3,
-        lambda n: (n - 1) ** (n - 1) + n * (1 << n),
-        _run_cor_hrc,
-    )
-)
-_register(
-    CheckSpec(
-        "prop-reflections",
-        "Vertical/horizontal flips of a fine grid class equal left/right"
-        " composition with the order-reversing permutation and twist the"
-        " expansion by the sign character.",
-        6,
-        1,
-        lambda n: 60 * 4**n,
-        _run_prop_reflections,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-equid-rotation",
-        "Half-turn rotation preserves the descent generating function of"
-        " Schur-positive grid classes, but not of a two-cell row witness"
-        " whose exact degree-3 values are frozen.",
-        6,
-        3,
-        lambda n: 60 * 4**n + 2 * _fact(n),
-        _run_cor_equid_rotation,
-    )
-)
-_register(
-    CheckSpec(
-        "kj-cardinality",
-        "Both four-cell interleaving families have (n-2)*2^(n-1)+2 members.",
-        8,
-        3,
-        lambda n: 2 * 4**n,
-        _run_kj_cardinality,
-    )
-)
-_register(
-    CheckSpec(
-        "j-formula",
-        "Closed Schur form of the identity-interleaving family.",
-        7,
-        3,
-        lambda n: 4**n + n * n,
-        _run_j_formula,
-    )
-)
-_register(
-    CheckSpec(
-        "k-formula",
-        "Closed Schur form of the reversal-interleaving family.",
-        7,
-        3,
-        lambda n: 4**n + n * n,
-        _run_k_formula,
-    )
-)
-_register(
-    CheckSpec(
-        "qsh-formula",
-        "Closed Schur form and cardinality 2^n-n of the two-cell ascending"
-        " one-column class.",
-        7,
-        2,
-        lambda n: 2**n + n * n,
-        _run_qsh_formula,
-    )
-)
-_register(
-    CheckSpec(
-        "ll-formula",
-        "Closed hook-sum form and cardinality 2^(n-1) of the left-unimodal"
-        " class.",
-        7,
-        2,
-        lambda n: 2**n + n * n,
-        _run_ll_formula,
-    )
-)
-_register(
-    CheckSpec(
-        "colayer-hooks",
-        "Each colayer ball expands as the first k hook Schur functions.",
-        7,
-        1,
-        lambda n: 2 * n**n,
-        _run_colayer_hooks,
-    )
-)
-_register(
-    CheckSpec(
-        "onecol-zigzags",
-        "A one-column class expands over the ribbons of the sign words that"
-        " avoid its sign vector as a subsequence.",
-        7,
-        2,
-        lambda n: (1 << (n - 1)) * (n - 1) ** n + n * _fact(n),
-        _run_onecol_zigzags,
-    )
-)
-_register(
-    CheckSpec(
-        "prop-prod-onecol",
-        "Composing a one-column class with a grid class lands exactly on the"
-        " stacked grid class (seeded sample of pairs).",
-        6,
-        2,
-        lambda n: 12 * 6**n,
-        _run_prop_prod_onecol,
-    )
-)
-_register(
-    CheckSpec(
-        "cor-star",
-        "Composing two one-column classes lands exactly on the one-column"
-        " class of the star product of their sign vectors.",
-        6,
-        2,
-        lambda n: 100 * 9**n,
-        _run_cor_star,
-    )
-)
-_register(
-    CheckSpec(
-        "thm-horiz-induction",
-        "Horizontal rotations of any fine battery set expand by adding one"
-        " corner cell to its Schur support.",
-        6,
-        2,
-        lambda n: 6 * _fact(n),
-        _run_thm_horiz_induction,
-    )
-)
-_register(
-    CheckSpec(
-        "neg-arc-grid",
-        "A single arc-family grid component is not even symmetric.",
-        4,
-        4,
-        lambda n: 4**n,
-        _run_neg_arc_grid,
-        fixed_n=True,
-    )
-)
-_register(
-    CheckSpec(
-        "neg-knuth-rot",
-        "Vertical rotations of an embedded plactic class can fail to be"
-        " fine even though the class and its horizontal rotations are fine.",
-        5,
-        5,
-        lambda n: 4 * _fact(5),
-        _run_neg_knuth_rot,
-        fixed_n=True,
-    )
-)
-_register(
-    CheckSpec(
-        "neg-stack",
-        "A stacked grid whose base is not one-column can fail symmetry; its"
-        " matrix and product factorization are pinned exactly.",
-        6,
-        6,
-        lambda n: 8 * 6**6,
-        _run_neg_stack,
-        fixed_n=True,
-    )
-)
 
 CHECK_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def list_checks() -> list[tuple[str, int, str]]:
-    """(check id, default degree, description) for every registered check."""
-    return [(s.check_id, s.default_n, s.description) for s in _REGISTRY.values()]
+    """(check id, default degree, statement) for every registered check."""
+    return [(s.id, s.default_n, s.statement) for s in _REGISTRY.values()]
 
 
 def run_check(check_id: str, n: int | None = None) -> CheckReport:
@@ -1262,9 +1065,10 @@ def run_check(check_id: str, n: int | None = None) -> CheckReport:
             f"estimated work {estimated} exceeds budget {budget}; raise "
             "SCHURGRID_CHECK_BUDGET to force",
         )
+    led = _CaseLedger()
     start = time.perf_counter()
     try:
-        ledger = spec.runner(degree)
+        spec.runner(led, degree)
     except GridResourceError as exc:
         return CheckReport(
             check_id,
@@ -1275,7 +1079,7 @@ def run_check(check_id: str, n: int | None = None) -> CheckReport:
             int((time.perf_counter() - start) * 1000),
             f"grid enumeration over budget: {exc}",
         )
-    status, lhs, rhs, notes = ledger.outcome()
+    status, lhs, rhs, notes = led.outcome()
     return CheckReport(
         check_id,
         degree,
@@ -1318,15 +1122,7 @@ class ScanRecord:
     created: str
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "conjecture": self.conjecture,
-            "n": self.n,
-            "verdict": self.verdict,
-            "cases": self.cases,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-            "created": self.created,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "ScanRecord":
@@ -1380,15 +1176,11 @@ class ScanReport:
         return [head, *out]
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    conj_id: str
-    description: str
-    n_min: int
-    cost: Callable[[int], int]
-    runner: Callable[[int], tuple[str, int, str | None]]
-
-
+@_scan(
+    "conj-10-1", 3, lambda n: (1 << n) * n * _fact(n),
+    "Vertical rotations of every one-column class stay symmetric and"
+    " Schur-positive.",
+)
 def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
     cyc = cyclic_class(n)
     cases = 0
@@ -1404,6 +1196,11 @@ def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
     return "holds", cases, None
 
 
+@_scan(
+    "conj-10-2", 3, lambda n: 4 * _fact(n),
+    "Vertical and horizontal rotations of an embedded inverse-descent"
+    " class form sets with equal descent generating functions.",
+)
 def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
     cyc = cyclic_class(n)
     cases = 0
@@ -1424,6 +1221,11 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
     return "holds", cases, None
 
 
+@_scan(
+    "conj-10-3", 3, lambda n: 12 * _fact(n) ** 2,
+    "Inverse-descent classes commute with every battery set in the"
+    " descent generating function.",
+)
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     battery = fine_battery(n)
     cases = 0
@@ -1443,6 +1245,11 @@ def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     return "holds", cases, None
 
 
+@_scan(
+    "knuth-product", 3, lambda n: _fact(n) ** 2 + n * _fact(n),
+    "The product of two plactic classes matches the pointwise"
+    " character product of their shapes.",
+)
 def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
     from .tableaux import insertion_tableau
 
@@ -1475,6 +1282,11 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
     return "holds", cases, None
 
 
+@_scan(
+    "restriction", 4, lambda n: 100 * 4**n,
+    "Grid classes Schur-positive at one degree stay Schur-positive"
+    " one degree below.",
+)
 def _scan_restriction(n: int) -> tuple[str, int, str | None]:
     cases = 0
     for name, m in _wide_matrix_corpus():
@@ -1495,58 +1307,12 @@ def _scan_restriction(n: int) -> tuple[str, int, str | None]:
     return "holds", cases, None
 
 
-_SCANS: dict[str, ScanSpec] = {
-    s.conj_id: s
-    for s in (
-        ScanSpec(
-            "conj-10-1",
-            "Vertical rotations of every one-column class stay symmetric and"
-            " Schur-positive.",
-            3,
-            lambda n: (1 << n) * n * _fact(n),
-            _scan_conj_10_1,
-        ),
-        ScanSpec(
-            "conj-10-2",
-            "Vertical and horizontal rotations of an embedded inverse-descent"
-            " class form sets with equal descent generating functions.",
-            3,
-            lambda n: 4 * _fact(n),
-            _scan_conj_10_2,
-        ),
-        ScanSpec(
-            "conj-10-3",
-            "Inverse-descent classes commute with every battery set in the"
-            " descent generating function.",
-            3,
-            lambda n: 12 * _fact(n) ** 2,
-            _scan_conj_10_3,
-        ),
-        ScanSpec(
-            "knuth-product",
-            "The product of two plactic classes matches the pointwise"
-            " character product of their shapes.",
-            3,
-            lambda n: _fact(n) ** 2 + n * _fact(n),
-            _scan_knuth_product,
-        ),
-        ScanSpec(
-            "restriction",
-            "Grid classes Schur-positive at one degree stay Schur-positive"
-            " one degree below.",
-            4,
-            lambda n: 100 * 4**n,
-            _scan_restriction,
-        ),
-    )
-}
-
 SCAN_IDS: tuple[str, ...] = tuple(_SCANS)
 
 
 def list_scans() -> list[tuple[str, int, str]]:
-    """(conjecture id, first scanned degree, description) for every scanner."""
-    return [(s.conj_id, s.n_min, s.description) for s in _SCANS.values()]
+    """(conjecture id, first scanned degree, statement) for every scanner."""
+    return [(s.id, s.min_n, s.statement) for s in _SCANS.values()]
 
 
 def results_dir() -> Path:
@@ -1600,9 +1366,9 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
     records: list[ScanRecord] = []
     status = STATUS_HOLDS
     witness: str | None = None
-    frontier = spec.n_min - 1
+    frontier = spec.min_n - 1
     notes = ""
-    for n in range(spec.n_min, max_n + 1):
+    for n in range(spec.min_n, max_n + 1):
         estimated = spec.cost(n)
         if estimated > check_budget():
             notes = (

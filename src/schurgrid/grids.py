@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -407,8 +407,8 @@ class GridResourceError(RuntimeError):
 
 
 def grid_budget() -> int:
-    """Maximum number of parameter words enumerated without an override
-    (override with the SCHURGRID_GRID_BUDGET environment variable)."""
+    """Maximum number of parameter words one enumeration may visit (set
+    with the SCHURGRID_GRID_BUDGET environment variable)."""
     env = os.environ.get("SCHURGRID_GRID_BUDGET")
     return int(env) if env else 100_000_000
 
@@ -418,9 +418,7 @@ _CHUNK = 1 << 18
 _grid_cache: dict[tuple[GridMatrix, int], frozenset[Perm]] = {}
 
 
-def enumerate_grid(
-    m: GridMatrix, n: int, override_budget: bool = False
-) -> frozenset[Perm]:
+def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
     """All degree-``n`` patterns drawable on the matrix picture.
 
     >>> sorted(enumerate_grid(zigzag_matrix(1), 3))
@@ -438,7 +436,7 @@ def enumerate_grid(
         work = refine_matrix(m)
         oriented = consistent_orientation(work)
         assert oriented is not None, "refined matrix must be orientable"
-    out = _enumerate_oriented(work, oriented, n, override_budget)
+    out = _enumerate_oriented(work, oriented, n)
     _grid_cache[key] = out
     return out
 
@@ -447,7 +445,6 @@ def _enumerate_oriented(
     m: GridMatrix,
     oriented: tuple[tuple[int, ...], tuple[int, ...]],
     n: int,
-    override_budget: bool,
 ) -> frozenset[Perm]:
     cells = m.cells()
     s = len(cells)
@@ -456,10 +453,10 @@ def _enumerate_oriented(
     if s == 0:
         return frozenset()
     total = s**n
-    if total > grid_budget() and not override_budget:
+    if total > grid_budget():
         raise GridResourceError(
             f"enumeration needs {total} words (budget {grid_budget()}); "
-            "pass override or raise SCHURGRID_GRID_BUDGET"
+            "raise SCHURGRID_GRID_BUDGET"
         )
     row_sign, col_sign = oriented
     nr = m.n_rows
@@ -646,10 +643,3 @@ def zigzag_member(p: Perm, k: int) -> bool:
     if k < 1:
         raise ValueError("parameter must be >= 1")
     return cdes_count(inverse(p)) <= k
-
-
-def members_of(
-    words: Iterable[Perm], predicate, *args
-) -> frozenset[Perm]:
-    """Filter helper used by the family builders."""
-    return frozenset(w for w in words if predicate(w, *args))

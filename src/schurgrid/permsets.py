@@ -66,7 +66,6 @@ __all__ = [
     "one_column_class",
     "zigzag_class",
     "plus_class",
-    "minus_class",
     "j_class",
     "k_class",
     "descent_class",
@@ -329,10 +328,6 @@ def zigzag_class(n: int, k: int) -> PermSet:
 
 def plus_class(n: int, k: int) -> PermSet:
     return one_column_class((1,) * k, n)
-
-
-def minus_class(n: int, k: int) -> PermSet:
-    return one_column_class((-1,) * k, n)
 
 
 def j_class(n: int) -> PermSet:

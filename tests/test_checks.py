@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from schurgrid.checks import (
+    _REGISTRY,
     CHECK_IDS,
     SCAN_IDS,
     CheckReport,
@@ -46,6 +49,24 @@ def test_registry_shape():
     assert [cid for cid, _, _ in listed] == list(CHECK_IDS)
     assert all(desc for _, _, desc in listed)
     assert [cid for cid, _, _ in list_scans()] == list(SCAN_IDS)
+
+
+def _readme_table(heading: str) -> list[tuple[str, str, str]]:
+    """(id, degree, statement) rows of the README table under ``heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| (.+) \|$", section, re.M)
+    return [(i, d, s.replace("\\*", "*")) for i, d, s in rows]
+
+
+def test_readme_tables_match_registry():
+    checks = [
+        (cid, f"{n} (fixed)" if _REGISTRY[cid].fixed_n else str(n), text)
+        for cid, n, text in list_checks()
+    ]
+    assert _readme_table("Registered checks") == checks
+    scans = [(cid, str(n), text) for cid, n, text in list_scans()]
+    assert _readme_table("Conjecture scanners") == scans
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)

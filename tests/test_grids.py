@@ -252,7 +252,8 @@ def test_budget_exceeded_raises(monkeypatch):
     matrix = parse_grid_matrix("0-/+0/0-/+0")  # 4 cells, 4^4 = 256 words
     with pytest.raises(GridResourceError):
         enumerate_grid(matrix, 4)
-    assert len(enumerate_grid(matrix, 4, override_budget=True)) > 0
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "256")
+    assert len(enumerate_grid(matrix, 4)) > 0
 
 
 def test_enumeration_uses_cache(monkeypatch):
