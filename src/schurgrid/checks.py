@@ -91,7 +91,6 @@ from .qsym import (
     skew_schur_f_vector,
 )
 from .tableaux import (
-    count_syt,
     enumerate_syt,
     is_partition,
     ribbon_shape,
@@ -604,10 +603,10 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
                 problem = f"{format_perm(p)}: image repeated (not injective)"
                 break
             images.add(t)
-        if problem is None and images != set(enumerate_syt(shape)):
+        if problem is None and images != (tableaux := set(enumerate_syt(shape))):
             problem = (
-                f"image misses {count_syt(shape) - len(images)} of "
-                f"{count_syt(shape)} tableaux (not surjective)"
+                f"image misses {len(tableaux) - len(images)} of "
+                f"{len(tableaux)} tableaux (not surjective)"
             )
         led.add(f"J={d.braces()} bijection audit", problem or audit, audit)
         led.add(

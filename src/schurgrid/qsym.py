@@ -6,14 +6,16 @@ subsets of ``[n-1]`` (bitmask order); a symmetric function is a map from
 partitions of ``n`` to integers.  The bridge between the two worlds is the
 descent-count table ``d[shape][descent-set]`` = number of standard tableaux
 of the shape with that descent set, built once per degree in memory by
-placing the entries ``1..n`` one at a time.  Summing a column of the table
-over the subsets of the partial sums of ``lambda`` gives the Kostka number
-``K[mu][lambda]``, and the Kostka matrix is unitriangular in the
-lex-decreasing order of :func:`partitions`.  So the Schur coefficients of a
-vector follow from its monomial coefficients by integer back-substitution;
-the vector is symmetric exactly when they rebuild it, and otherwise two
-rearranged compositions with different monomial coefficients witness that
-it is not.
+placing the entries ``1..n`` one at a time.  Started from an inner shape,
+the same walk gives the fundamental vector of any skew shape: the sum of
+``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).  Summing a column
+of the table over the subsets of the partial sums of ``lambda`` gives the
+Kostka number ``K[mu][lambda]``, and the Kostka matrix is unitriangular in
+the lex-decreasing order of :func:`partitions`.  So the Schur coefficients
+of a vector follow from its monomial coefficients by integer
+back-substitution; the vector is symmetric exactly when they rebuild it,
+and otherwise two rearranged compositions with different monomial
+coefficients witness that it is not.
 
 >>> schur_expand(QSym.unit(3) + QSym.single(3, DescSet.of(3, [1]))
 ...              + QSym.single(3, DescSet.of(3, [2]))).serialize()
@@ -38,13 +40,7 @@ from .permutations import (
     shuffle_words,
     sorted_composition_key,
 )
-from .tableaux import (
-    Partition,
-    SkewShape,
-    enumerate_syt,
-    partitions,
-    syt_des,
-)
+from .tableaux import Partition, SkewShape, partitions
 
 __all__ = [
     "QSym",
@@ -106,13 +102,6 @@ class QSym:
             raise ValueError("descent set degree mismatch")
         v = [0] * _width(n)
         v[d.mask] = coeff
-        return cls(n, tuple(v))
-
-    @classmethod
-    def from_mask_dict(cls, n: int, data: Mapping[int, int]) -> "QSym":
-        v = [0] * _width(n)
-        for mask, c in data.items():
-            v[mask] += c
         return cls(n, tuple(v))
 
     # -- ring-ish operations -----------------------------------------------
@@ -505,16 +494,6 @@ def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     return witness
 
 
-def skew_schur_f_vector(shape: SkewShape) -> QSym:
-    """Fundamental-basis vector of a skew shape: descent generating
-    function of its standard tableaux."""
-    n = shape.size()
-    v = [0] * _width(n)
-    for t in enumerate_syt(shape):
-        v[syt_des(t).mask] += 1
-    return QSym(n, tuple(v))
-
-
 def schur_f_vector(e: SchurExpansion) -> QSym:
     """Fundamental-basis vector of a Schur expansion via the
     descent-count table."""
@@ -589,8 +568,49 @@ def pieri_down(e: SchurExpansion) -> SchurExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Descent-count table, built in memory by placing one entry at a time
+# Placement walk: skew F-vectors and the descent-count table
 # ---------------------------------------------------------------------------
+
+
+def _placements(
+    inner: Partition, n: int, outer: Partition
+) -> dict[Partition, tuple[int, ...]]:
+    """Standard fillings of ``n`` boxes added to ``inner`` inside ``outer``,
+    counted by final shape and descent mask.
+
+    The entries 1..n are placed one at a time.  A state is the shape filled
+    so far with the row of its largest entry, and holds the tableau counts
+    by descent mask.  Entry k+1 placed in a row below that of k makes k a
+    descent; any other row does not, so a state's vector only moves into the
+    upper or the lower half of the next one and is never recounted.  The
+    start row lies below every row of ``outer``, so entry 1 is no descent."""
+    states: dict[tuple[Partition, int], list[int]] = {(inner, len(outer)): [1]}
+    for k in range(n):
+        width = _width(k)
+        grown: dict[tuple[Partition, int], list[int]] = {}
+        for (shape, row), vec in states.items():
+            for r, new in _addable_corners(shape):
+                if r < len(outer) and new[r] <= outer[r]:
+                    acc = grown.setdefault((new, r), [0] * _width(k + 1))
+                    lo = width if r > row else 0
+                    acc[lo : lo + width] = map(add, acc[lo : lo + width], vec)
+        states = grown
+    counts: dict[Partition, list[int]] = {}
+    for (shape, _), vec in states.items():
+        counts[shape] = list(map(add, counts.get(shape, [0] * _width(n)), vec))
+    return {shape: tuple(v) for shape, v in counts.items()}
+
+
+def skew_schur_f_vector(shape: SkewShape) -> QSym:
+    """Fundamental-basis vector of a skew shape: the descent generating
+    function of its standard tableaux, by the placement walk from the inner
+    shape.
+
+    >>> skew_schur_f_vector(SkewShape((2, 1), (1,))).serialize()
+    'n=2; F{} + F{1}'
+    """
+    n = shape.size()
+    return QSym(n, _placements(shape.inner, n, shape.outer)[shape.outer])
 
 
 @dataclass(frozen=True)
@@ -634,30 +654,6 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "schurgrid"
 
 
-def _compute_table(n: int) -> DescentCountTable:
-    """Place the entries 1..n one at a time.  A state is the shape filled so
-    far with the row of its largest entry, and holds the tableau counts by
-    descent mask.  Entry k+1 placed in a row below that of k makes k a
-    descent; any other row does not, so a state's vector only moves into the
-    upper or the lower half of the next one and is never recounted."""
-    if n == 0:
-        return DescentCountTable(0, {(): (1,)})
-    states: dict[tuple[Partition, int], list[int]] = {((1,), 0): [1]}
-    for k in range(1, n):
-        width = _width(k)
-        grown: dict[tuple[Partition, int], list[int]] = {}
-        for (shape, row), vec in states.items():
-            for r, new in _addable_corners(shape):
-                acc = grown.setdefault((new, r), [0] * (2 * width))
-                lo = width if r > row else 0
-                acc[lo : lo + width] = map(add, acc[lo : lo + width], vec)
-        states = grown
-    counts = {mu: [0] * _width(n) for mu in partitions(n)}
-    for (shape, _), vec in states.items():
-        counts[shape] = list(map(add, counts[shape], vec))
-    return DescentCountTable(n, {mu: tuple(v) for mu, v in counts.items()})
-
-
 _table_memory: dict[int, DescentCountTable] = {}
 
 
@@ -671,5 +667,9 @@ def descent_count_table(n: int) -> DescentCountTable:
         raise ValueError("degree must be >= 0")
     table = _table_memory.get(n)
     if table is None:
-        table = _table_memory[n] = _compute_table(n)
+        # The n-by-n box holds every partition of n.
+        placed = _placements((), n, (n,) * n)
+        table = _table_memory[n] = DescentCountTable(
+            n, {mu: placed[mu] for mu in partitions(n)}
+        )
     return table

@@ -46,7 +46,6 @@ __all__ = [
     "StandardTableau",
     "parse_tableau",
     "enumerate_syt",
-    "count_syt",
     "syt_des",
     "rsk",
     "insertion_tableau",
@@ -306,12 +305,6 @@ class StandardTableau:
                 out[value] = (r, offset + i)
         return out
 
-    def row_of(self, value: int) -> int:
-        for r, row in enumerate(self.rows, start=1):
-            if value in row:
-                return r
-        raise KeyError(value)
-
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
         return tuple(e for row in self.rows for e in row)
@@ -399,10 +392,6 @@ def enumerate_syt(shape: SkewShape) -> list[StandardTableau]:
     place(1)
     out.sort(key=lambda t: t.reading_word())
     return out
-
-
-def count_syt(shape: SkewShape) -> int:
-    return len(enumerate_syt(shape))
 
 
 def syt_des(t: StandardTableau) -> DescSet:

@@ -37,12 +37,12 @@ from schurgrid.qsym import (
 )
 from schurgrid.tableaux import (
     SkewShape,
-    count_syt,
     disconnected_shape,
     enumerate_syt,
     partitions,
     ribbon_shape,
     straight_shape,
+    strip_chain_shape,
     syt_des,
 )
 
@@ -328,15 +328,37 @@ def test_pieri_down_counts_corner_removals():
 # ---------------------------------------------------------------------------
 
 
+def syt_tally(shape):
+    """Descent generating function of a shape's enumerated tableaux."""
+    v = [0] * (1 << max(shape.size() - 1, 0))
+    for t in enumerate_syt(shape):
+        v[syt_des(t).mask] += 1
+    return v
+
+
 def test_descent_count_table_matches_tableau_enumeration():
     for n in range(0, 9):
         table = descent_count_table(n)
         for mu in partitions(n):
-            brute = [0] * (1 << max(n - 1, 0))
-            for t in enumerate_syt(straight_shape(mu)):
-                brute[syt_des(t).mask] += 1
+            brute = syt_tally(straight_shape(mu))
             assert list(table.counts[mu]) == brute
-            assert sum(brute) == count_syt(straight_shape(mu))
+            assert list(skew_schur_f_vector(straight_shape(mu)).coeffs) == brute
+    shapes = [
+        SkewShape((), ()),
+        SkewShape((3, 2, 1), (2, 2)),  # a fully inner row below the top
+        SkewShape((3, 2), (1,)),
+        SkewShape((4, 4, 2), (3, 1)),
+        SkewShape((5, 4, 1), (4, 1)),
+        SkewShape((3, 3, 3), (2, 1)),
+        SkewShape((6, 1), (1,)),
+    ]
+    for n in range(1, 9):
+        for d in all_dessets(n):
+            shapes.append(ribbon_shape(n, d))
+            if all(i <= n - 2 for i in d.members):
+                shapes.append(strip_chain_shape(n, d))
+    for shape in shapes:
+        assert list(skew_schur_f_vector(shape).coeffs) == syt_tally(shape), shape
 
 
 def plant_table_file(path, n, counts):
