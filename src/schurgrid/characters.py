@@ -23,6 +23,7 @@ from .permutations import (
     composition_boundary_mask,
     des_mask,
     is_mu_modal_mask,
+    read_collection,
 )
 from .qsym import SchurExpansion
 from .tableaux import Partition, conjugate_partition, partitions
@@ -223,24 +224,12 @@ def char_from_signed_formula(
     0
     """
     mu = tuple(mu)
-    items = (
-        list(elems.items())
-        if isinstance(elems, Mapping)
-        else [(w, 1) for w in elems]
-    )
-    if not items:
-        if n is None:
-            raise ValueError("empty collection needs an explicit degree")
-        degree = n
-    else:
-        degree = len(items[0][0])
-        if n is not None and n != degree:
-            raise ValueError("degree mismatch")
+    degree, counts = read_collection(elems, n)
     if sum(mu) != degree:
         raise ValueError("cycle type size must match the degree")
     boundary = composition_boundary_mask(mu)
     total = 0
-    for word, mult in items:
+    for word, mult in counts.items():
         mask = des_mask(word)
         if not is_mu_modal_mask(mask, degree, mu):
             continue
@@ -253,19 +242,10 @@ def signed_char_vector(
     elems: Union[Mapping[Perm, int], Iterable[Perm]],
     n: int | None = None,
 ) -> CharacterVector:
-    """All signed descent-sum values of a permutation set, one per cycle
-    type (an independent route to its class function)."""
-    items = (
-        dict(elems) if isinstance(elems, Mapping) else {w: 1 for w in elems}
-    )
-    if items:
-        degree = len(next(iter(items)))
-    elif n is not None:
-        degree = n
-    else:
-        raise ValueError("empty collection needs an explicit degree")
+    """All signed descent-sum values of a permutation collection, one per
+    cycle type (an independent route to its class function)."""
+    degree, counts = read_collection(elems, n)
     values = tuple(
-        char_from_signed_formula(items, rho, n=degree)
-        for rho in partitions(degree)
+        char_from_signed_formula(counts, rho, degree) for rho in partitions(degree)
     )
     return CharacterVector(degree, values)

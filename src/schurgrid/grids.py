@@ -29,6 +29,7 @@ from .permutations import (
     Perm,
     cdes_count,
     des_set,
+    distinct_words,
     inverse,
 )
 
@@ -478,8 +479,7 @@ def _enumerate_oriented(
         else:
             ay[idx], by[idx] = -1, (vertical + 1) * band
     t = np.arange(1, n + 1, dtype=np.int64)
-    powers = np.array([n**k for k in range(n)], dtype=np.int64)
-    codes: set[int] = set()
+    words = np.empty((0, n), np.min_scalar_type(n))
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = np.empty((len(idx), n), dtype=np.int64)
@@ -494,16 +494,9 @@ def _enumerate_oriented(
         ranks = np.argsort(
             np.argsort(y_sorted, axis=1, kind="stable"), axis=1, kind="stable"
         )
-        codes.update(np.unique(ranks @ powers).tolist())
-    out = set()
-    for code in codes:
-        word = []
-        rem = code
-        for _ in range(n):
-            word.append(rem % n + 1)
-            rem //= n
-        out.add(tuple(word))
-    return frozenset(out)
+        ranks += 1
+        words, _ = distinct_words(np.concatenate([words, ranks.astype(words.dtype)]))
+    return frozenset(map(tuple, words.tolist()))
 
 
 # ---------------------------------------------------------------------------

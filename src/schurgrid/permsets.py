@@ -3,16 +3,17 @@ and the named families used throughout the check suite.
 
 The product of two collections is taken elementwise by composition
 (``(a, b) -> a after b``); multiset products keep multiplicities, set
-products keep support only.  Descent generating functions of large products
-are folded directly (per-element vectorized composition) so the product is
-never materialized unless asked for.
+products keep support only.  All three products compose whole blocks of
+word matrices at once; descent generating functions of large products are
+folded block by block, so the product is never materialized unless asked
+for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -31,10 +32,11 @@ from .permutations import (
     DescSet,
     Perm,
     cdes_count,
-    compose,
     des_mask,
+    distinct_words,
     identity,
     inverse,
+    read_collection,
     vertical_rotate,
 )
 from .qsym import QSym, qsym_of
@@ -105,13 +107,6 @@ class PermMultiset:
     def from_mapping(cls, n: int, data: Mapping[Perm, int]) -> "PermMultiset":
         return cls(n, tuple(sorted((w, m) for w, m in data.items() if m)))
 
-    @classmethod
-    def from_iterable(cls, n: int, words: Iterable[Perm]) -> "PermMultiset":
-        data: dict[Perm, int] = {}
-        for w in words:
-            data[w] = data.get(w, 0) + 1
-        return cls.from_mapping(n, data)
-
     def support(self) -> PermSet:
         return frozenset(w for w, _ in self.elems)
 
@@ -143,95 +138,91 @@ class PermMultiset:
 
 
 def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
-    """Normalize a multiset/mapping/iterable into a :class:`PermMultiset`."""
+    """Normalize a multiset/mapping/iterable into a :class:`PermMultiset`
+    (see :func:`~schurgrid.permutations.read_collection`)."""
     if isinstance(x, PermMultiset):
         return x
-    if isinstance(x, Mapping):
-        items = dict(x)
-    else:
-        items = {}
-        for w in x:
-            items[w] = items.get(w, 0) + 1
-    if items:
-        degree = len(next(iter(items)))
-    elif n is not None:
-        degree = n
-    else:
-        raise ValueError("empty collection needs an explicit degree")
-    return PermMultiset.from_mapping(degree, items)
+    return PermMultiset.from_mapping(*read_collection(x, n))
 
 
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
 
+# Cells (composed letters) per block of compositions.
+_BLOCK = 1 << 20
+
+
+def _word_matrix(m: PermMultiset) -> np.ndarray:
+    return np.array(
+        [w for w, _ in m.elems], dtype=np.min_scalar_type(m.n)
+    ).reshape(len(m.elems), m.n)
+
+
+def _compositions(
+    am: PermMultiset, bm: PermMultiset
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All compositions ``x after y``, in blocks of ``(words, weights)``.
+
+    ``words`` is a (k, n) matrix of 1-based words, one row per pair, and
+    ``weights`` holds the products ``mult(x) * mult(y)``.  The weights are
+    ``int64`` unless ``total(a) * total(b)`` reaches 2**63, when they are
+    Python integers, so no sum of them can overflow.
+    """
+    n = am.n
+    if n != bm.n:
+        raise ValueError("degree mismatch")
+    dtype = object if am.total_size() * bm.total_size() >= 2**63 else np.int64
+    x, y = _word_matrix(am), _word_matrix(bm) - 1
+    mx = np.array([m for _, m in am.elems], dtype=dtype)
+    my = np.array([m for _, m in bm.elems], dtype=dtype)
+    rows = max(1, _BLOCK // max(n, 1))
+    for i in range(0, len(x), rows):
+        xs, ms = x[i : i + rows], mx[i : i + rows]
+        step = max(1, rows // len(xs))
+        for j in range(0, len(y), step):
+            ys = y[j : j + step]
+            # xs[:, ys][r, c] is the word xs[r] after ys[c].
+            words = xs[:, ys].reshape(len(xs) * len(ys), n)
+            yield words, np.multiply.outer(ms, my[j : j + step]).ravel()
+
 
 def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
     """Multiset of all compositions ``x after y`` with multiplicity."""
     am, bm = as_multiset(a), as_multiset(b)
-    if am.n != bm.n:
-        raise ValueError("degree mismatch")
-    data: dict[Perm, int] = {}
-    for x, mx in am.elems:
-        for y, my in bm.elems:
-            w = compose(x, y)
-            data[w] = data.get(w, 0) + mx * my
-    return PermMultiset.from_mapping(am.n, data)
+    words, weights = np.empty((0, am.n), np.uint8), np.empty(0, np.int64)
+    for block, block_weights in _compositions(am, bm):
+        words, weights = distinct_words(
+            np.concatenate([words, block]),
+            np.concatenate([weights, block_weights]),
+        )
+    return PermMultiset.from_mapping(
+        am.n, dict(zip(map(tuple, words.tolist()), weights.tolist()))
+    )
 
 
 def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
     """Support of the product: all compositions ``x after y``."""
     am, bm = as_multiset(a), as_multiset(b)
-    if am.n != bm.n:
-        raise ValueError("degree mismatch")
-    return frozenset(
-        compose(x, y) for x in am.support() for y in bm.support()
-    )
+    words = np.empty((0, am.n), np.uint8)
+    for block, _ in _compositions(am, bm):
+        words, _ = distinct_words(np.concatenate([words, block]))
+    return frozenset(map(tuple, words.tolist()))
 
 
 def product_qsym(a: CollectionLike, b: CollectionLike) -> QSym:
-    """Descent generating function of the multiset product, folded without
-    materializing the product."""
+    """Descent generating function of the multiset product, folded block by
+    block without materializing the product."""
     am, bm = as_multiset(a), as_multiset(b)
     n = am.n
-    if n != bm.n:
-        raise ValueError("degree mismatch")
-    if n == 0:
-        return QSym(0, (am.total_size() * bm.total_size(),))
-    if not am.elems or not bm.elems:
-        return QSym.zero(n)
-    if am.total_size() * bm.total_size() >= 2**63:
-        # Coefficients may exceed the vectorized accumulator's range;
-        # fold with arbitrary-precision integers instead.
-        slow = [0] * (1 << (n - 1))
-        for x, mx in am.elems:
-            for y, my in bm.elems:
-                slow[des_mask(compose(x, y))] += mx * my
-        return QSym(n, tuple(slow))
-    acc = np.zeros(1 << (n - 1), dtype=np.int64)
-    powers = np.array([1 << k for k in range(n - 1)], dtype=np.int64)
-    if am.support_size() >= bm.support_size():
-        big_words = np.array([w for w, _ in am.elems], dtype=np.int64)
-        big_mults = np.array([m for _, m in am.elems], dtype=np.int64)
-        small = bm.elems
-        left_big = True
-    else:
-        big_words = np.array([w for w, _ in bm.elems], dtype=np.int64)
-        big_mults = np.array([m for _, m in bm.elems], dtype=np.int64)
-        small = am.elems
-        left_big = False
-    for word, mult in small:
-        if left_big:
-            # rows: x in big, composition x after word
-            idx = np.array([v - 1 for v in word], dtype=np.int64)
-            table = big_words[:, idx]
-        else:
-            # rows: y in big, composition word after y
-            w_arr = np.array(word, dtype=np.int64)
-            table = w_arr[big_words - 1]
-        masks = (table[:, 1:] < table[:, :-1]).astype(np.int64) @ powers
-        np.add.at(acc, masks, big_mults * mult)
-    return QSym(n, tuple(int(c) for c in acc))
+    acc = np.zeros(1 << max(n - 1, 0), np.int64)
+    for words, weights in _compositions(am, bm):
+        acc = acc.astype(weights.dtype, copy=False)  # object for Python ints
+        masks = np.zeros(len(words), np.int64)
+        for i in range(n - 1):
+            masks[words[:, i + 1] < words[:, i]] += 1 << i
+        np.add.at(acc, masks, weights)
+    return QSym(n, tuple(acc.tolist()))
 
 
 def embed_word(word: Perm, n: int) -> Perm:

@@ -14,10 +14,13 @@ descent position).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Perm",
@@ -50,6 +53,8 @@ __all__ = [
     "is_mu_modal_mask",
     "shuffle_words",
     "shuffles",
+    "read_collection",
+    "distinct_words",
 ]
 
 # One-line notation: word[i] is the image of position i+1.
@@ -458,3 +463,61 @@ def shuffles(
             for word in shuffle_words(u, v):
                 out[word] = out.get(word, 0) + weight
     return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------------------
+# Collections
+# ---------------------------------------------------------------------------
+
+
+def read_collection(
+    elems: Mapping[Perm, int] | Iterable[Perm], n: int | None = None
+) -> tuple[int, dict[Perm, int]]:
+    """Degree and word -> multiplicity counts of a mapping (taken as given)
+    or of an iterable of words (each occurrence counts once).  ``n`` is
+    required only when the collection is empty; mixed degrees, or a degree
+    other than ``n``, are rejected.
+
+    >>> read_collection([(2, 1), (1, 2), (2, 1)])
+    (2, Counter({(2, 1): 2, (1, 2): 1}))
+    """
+    counts = Counter(elems)
+    degrees = {len(w) for w in counts}
+    if len(degrees) > 1:
+        raise ValueError("mixed degrees in collection")
+    degree = degrees.pop() if degrees else n
+    if degree is None:
+        raise ValueError("empty collection needs an explicit degree")
+    if n is not None and n != degree:
+        raise ValueError(f"degree mismatch: elements have degree {degree}")
+    return degree, counts
+
+
+def distinct_words(
+    words: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distinct rows of a (k, n) matrix of unsigned words, in byte order,
+    with the weights of equal rows summed when weights are given.
+
+    Each row is keyed by its raw bytes as one ``S`` item: ``np.unique`` is
+    several times faster on those than on rows (``axis=0``), and they need
+    no bound on ``n``.  They are decoded with ``np.frombuffer``, as ``S``
+    items drop trailing NUL bytes when read back as Python objects.
+
+    >>> words = np.array([[2, 1], [1, 2], [2, 1]], np.uint8)
+    >>> distinct_words(words)[0].tolist()
+    [[1, 2], [2, 1]]
+    >>> distinct_words(words, np.array([1, 5, 1]))[1].tolist()
+    [5, 2]
+    """
+    n = words.shape[1]
+    if n == 0:  # degree 0: every row is the empty word
+        return words[:1], None if weights is None else weights.sum(keepdims=True)
+    keys = np.ascontiguousarray(words).view(f"S{n * words.itemsize}")[:, 0]
+    if weights is None:
+        unique, sums = np.unique(keys), None
+    else:
+        unique, where = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(unique), weights.dtype)
+        np.add.at(sums, where, weights)
+    return np.frombuffer(unique, words.dtype).reshape(len(unique), n), sums

@@ -37,6 +37,7 @@ from .permutations import (
     Perm,
     composition_boundary_mask,
     des_mask,
+    read_collection,
     shuffle_words,
     sorted_composition_key,
 )
@@ -212,22 +213,9 @@ def qsym_of(
     >>> qsym_of([(1, 2, 3)]).serialize()
     'n=3; F{}'
     """
-    items = (
-        list(elems.items())
-        if isinstance(elems, Mapping)
-        else [(w, 1) for w in elems]
-    )
-    if not items:
-        if n is None:
-            raise ValueError("empty collection needs an explicit degree")
-        return QSym.zero(n)
-    degree = len(items[0][0])
-    if n is not None and n != degree:
-        raise ValueError(f"degree mismatch: elements have degree {degree}")
+    degree, counts = read_collection(elems, n)
     v = [0] * _width(degree)
-    for word, mult in items:
-        if len(word) != degree:
-            raise ValueError("mixed degrees in collection")
+    for word, mult in counts.items():
         v[des_mask(word)] += mult
     return QSym(degree, tuple(v))
 

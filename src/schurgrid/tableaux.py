@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .permutations import (
@@ -264,6 +265,21 @@ def disconnected_shape(lower_left: Sequence[int], upper_right: Sequence[int]) ->
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _layout(
+    shape: SkewShape,
+) -> tuple[tuple[int, ...], frozenset[int], tuple[tuple[int, int], ...]]:
+    """Row sizes, the entry set ``1..n`` and the (cell above, cell) pairs of
+    a shape, cells numbered in reading order: what validating a filling
+    needs, derived once per shape."""
+    sizes = shape.row_sizes()
+    index = {cell: i for i, cell in enumerate(shape.cells())}
+    above = tuple(
+        (index[r - 1, c], i) for (r, c), i in index.items() if (r - 1, c) in index
+    )
+    return sizes, frozenset(range(1, len(index) + 1)), above
+
+
 @dataclass(frozen=True, order=True)
 class StandardTableau:
     """A bijective filling of a skew shape by ``1..n`` increasing along
@@ -273,22 +289,17 @@ class StandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        sizes = self.shape.row_sizes()
-        if tuple(len(r) for r in self.rows) != sizes:
+        sizes, values, above = _layout(self.shape)
+        if tuple(map(len, self.rows)) != sizes:
             raise ValueError("row lengths do not match the shape")
-        n = self.shape.size()
-        entries = [e for row in self.rows for e in row]
-        if sorted(entries) != list(range(1, n + 1)):
-            raise ValueError(f"entries are not exactly 1..{n}")
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError("rows must strictly increase")
-        pos = self.position_of_entries()
-        for value, (r, c) in pos.items():
-            if self.shape.contains(r - 1, c):
-                above = self.entry_at(r - 1, c)
-                if above >= value:
-                    raise ValueError("columns must strictly increase")
+        word = self.reading_word()
+        if set(word) != values:
+            raise ValueError(f"entries are not exactly 1..{len(values)}")
+        # The entries are distinct, so a row increases iff it is sorted.
+        if any(list(row) != sorted(row) for row in self.rows):
+            raise ValueError("rows must strictly increase")
+        if any(word[i] >= word[j] for i, j in above):
+            raise ValueError("columns must strictly increase")
 
     @property
     def size(self) -> int:
@@ -307,7 +318,7 @@ class StandardTableau:
 
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
-        return tuple(e for row in self.rows for e in row)
+        return tuple(chain.from_iterable(self.rows))
 
     def text(self) -> str:
         """Rows top to bottom; inner cells printed as a centered dot;

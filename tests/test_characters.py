@@ -206,3 +206,12 @@ def test_signed_formula_validates_input():
     assert char_from_signed_formula([], (2, 1), n=3) == 0
     with pytest.raises(ValueError):
         char_from_signed_formula([(1, 2)], (3,))
+
+
+def test_signed_formulas_count_repeated_words():
+    # A list is a multiset: every occurrence counts, as in qsym_of.
+    words = [(1, 2), (1, 2)]
+    assert signed_char_vector(words).values == (2, 2)
+    assert signed_char_vector(words) == signed_char_vector({(1, 2): 2})
+    assert [char_from_signed_formula(words, rho) for rho in partitions(2)] == [2, 2]
+    assert qsym_of(words).serialize() == "n=2; 2*F{}"

@@ -61,6 +61,13 @@ def test_grid_enum_accepts_leading_dash_matrix(capsys):
     assert out == "123\n213\n312\n321\n"
 
 
+@pytest.mark.parametrize("n", [17, 300])
+def test_grid_enum_at_large_degree(capsys, n):
+    code, out, err = run(capsys, ["grid", "enum", "+", "--n", str(n)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ",".join(map(str, range(1, n + 1))) + "\n"
+
+
 def test_expression_error_exits_one(capsys):
     code, out, err = run(capsys, ["qsym", "S(x)"])
     assert (code, out) == (EXIT_USAGE, "")

@@ -264,6 +264,12 @@ def test_enumeration_uses_cache(monkeypatch):
     assert enumerate_grid(m, 5) is first
 
 
+def test_degrees_beyond_base_n_codes():
+    # Base-n integer codes of the words overflow int64 from n = 17 on.
+    assert len(enumerate_grid(parse_grid_matrix("+/+"), 17)) == 2**17 - 17
+    assert enumerate_grid(parse_grid_matrix("-"), 300) == {tuple(range(300, 0, -1))}
+
+
 def test_empty_and_degenerate_cases():
     m = parse_grid_matrix("+")
     assert enumerate_grid(m, 0) == frozenset({()})

@@ -11,7 +11,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurgrid.characters import class_size
@@ -68,14 +68,27 @@ def all_dessets(n):
             yield DescSet.of(n, members)
 
 
-small_multisets = st.integers(2, 4).flatmap(
-    lambda n: st.dictionaries(
+def multisets_of(n):
+    return st.dictionaries(
         st.permutations(tuple(range(1, n + 1))).map(tuple),
-        st.integers(1, 3),
-        min_size=1,
+        st.sampled_from((1, 2, 3, 2**40)),
         max_size=4,
     ).map(lambda d: PermMultiset.from_mapping(n, d))
+
+
+multiset_pairs = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(multisets_of(n), multisets_of(n))
 )
+
+
+def reference_product(a, b):
+    """The multiset product by one pure-Python composition per pair."""
+    out = {}
+    for x, mx in a.elems:
+        for y, my in b.elems:
+            w = tuple(x[v - 1] for v in y)
+            out[w] = out.get(w, 0) + mx * my
+    return PermMultiset.from_mapping(a.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +97,7 @@ small_multisets = st.integers(2, 4).flatmap(
 
 
 def test_multiset_construction_and_counting():
-    m = PermMultiset.from_iterable(3, [(1, 2, 3), (2, 1, 3), (1, 2, 3)])
+    m = as_multiset([(1, 2, 3), (2, 1, 3), (1, 2, 3)])
     assert m.total_size() == 3
     assert m.support_size() == 2
     assert m.multiplicity((1, 2, 3)) == 2
@@ -133,17 +146,17 @@ def test_multiset_product_total_size_multiplies():
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_multisets, st.data())
-def test_product_qsym_equals_materialized_product(a, data):
-    n = a.n
-    b = data.draw(
-        st.dictionaries(
-            st.permutations(tuple(range(1, n + 1))).map(tuple),
-            st.integers(1, 3),
-            min_size=1,
-            max_size=4,
-        ).map(lambda d: PermMultiset.from_mapping(n, d))
-    )
+@given(multiset_pairs)
+@example((as_multiset([()]).scale(3), as_multiset([()]).scale(5)))
+@example((as_multiset([], 3), as_multiset(symmetric_group(3))))
+@example((as_multiset(symmetric_group(3)), as_multiset([], 3)))
+@example((PermMultiset.from_mapping(2, {(1, 2): 10**12, (2, 1): 1}),) * 2)
+def test_product_qsym_equals_materialized_product(pair):
+    a, b = pair
+    expected = reference_product(a, b)
+    assert multiset_product(a, b) == expected
+    assert set_product(a, b) == expected.support()
+    assert product_qsym(a, b) == expected.qsym()
     assert product_qsym(a, b) == multiset_product(a, b).qsym()
 
 

@@ -217,6 +217,22 @@ def test_enumerate_syt_entries_are_valid_and_distinct():
         assert flat == list(range(1, shape.size() + 1))
 
 
+@pytest.mark.parametrize(
+    "shape, rows, message",
+    [
+        (straight_shape((3, 1)), ((1, 2), (3,), (4,)), "row lengths"),
+        (straight_shape((3, 1)), ((1, 2, 5), (3,)), "entries are not exactly 1..4"),
+        (straight_shape((3, 1)), ((1, 2, 2), (3,)), "entries are not exactly 1..4"),
+        (straight_shape((3, 1)), ((1, 3, 2), (4,)), "rows must strictly increase"),
+        (straight_shape((3, 1)), ((2, 3, 4), (1,)), "columns must strictly increase"),
+        (SkewShape((3, 2), (1,)), ((3, 4), (1, 2)), "columns must strictly increase"),
+    ],
+)
+def test_tableau_validation_rejects(shape, rows, message):
+    with pytest.raises(ValueError, match=message):
+        StandardTableau(shape, rows)
+
+
 def test_tableau_text_parse_round_trip():
     for shape in (straight_shape((3, 2)), SkewShape((4, 2), (1,))):
         for t in enumerate_syt(shape):
