@@ -5,13 +5,21 @@ it defines at degree ``n`` consists of all patterns of ``n`` points drawn on
 a picture with one increasing segment per ``+1`` cell and one decreasing
 segment per ``-1`` cell.
 
-Enumeration is exact: when the matrix admits a consistent orientation of
-rows and columns (signs with ``row * col == entry`` on every nonzero cell),
-every drawing can be normalized so that all points share one global integer
-parameter, and the class is the image of all ``cells**n`` parameter words.
-A matrix with no consistent orientation is refined by splitting every cell
-into a 2x2 block (each segment cut at its midpoint), which always yields an
-orientable matrix describing the same picture.
+Enumeration is exact and takes one of two routes:
+
+- When every nonzero cell lies in one column, the values 1..n are inserted
+  in turn into each member, greedily keeping each value in the current
+  cell's monotone run; every member is built once.
+- Otherwise the matrix is oriented: row and column signs with
+  ``row * col == entry`` on every nonzero cell.  Every drawing can then be
+  normalized so that all points share one integer parameter, and the
+  points are added in order of it.  A partial drawing is kept as its
+  pattern plus its points per row and per column, once per distinct
+  state: parameter words that differ only by commuting cells reach the
+  same state and are extended once.  A matrix with no consistent orientation is first refined
+  by splitting every cell into a 2x2 block (each segment cut at its
+  midpoint), which always yields an orientable matrix describing the same
+  picture.
 
 >>> sorted(enumerate_grid(parse_grid_matrix("+"), 3))
 [(1, 2, 3)]
@@ -19,6 +27,7 @@ orientable matrix describing the same picture.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -408,8 +417,11 @@ class GridResourceError(RuntimeError):
 
 
 def grid_budget() -> int:
-    """Maximum number of parameter words one enumeration may visit (set
-    with the SCHURGRID_GRID_BUDGET environment variable)."""
+    """Largest ``s**n`` (nonzero cells of the oriented matrix to the power
+    of the degree) one enumeration may ask for, set with the
+    SCHURGRID_GRID_BUDGET environment variable.  The gate still compares
+    that count of parameter words with the budget, although neither route
+    visits the words themselves."""
     env = os.environ.get("SCHURGRID_GRID_BUDGET")
     return int(env) if env else 100_000_000
 
@@ -417,6 +429,8 @@ def grid_budget() -> int:
 _CHUNK = 1 << 18
 
 _grid_cache: dict[tuple[GridMatrix, int], frozenset[Perm]] = {}
+
+_log = logging.getLogger("schurgrid")
 
 
 def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
@@ -428,75 +442,150 @@ def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
     if n < 0:
         raise ValueError("degree must be >= 0")
     key = (m, n)
+    debug = _log.isEnabledFor(logging.DEBUG)
     cached = _grid_cache.get(key)
     if cached is not None:
+        if debug:
+            _log.debug("grid %s n=%d: cache hit", format_grid_matrix(m), n)
         return cached
-    oriented = consistent_orientation(m)
     work = m
+    oriented = consistent_orientation(m)
     if oriented is None:
         work = refine_matrix(m)
         oriented = consistent_orientation(work)
         assert oriented is not None, "refined matrix must be orientable"
-    out = _enumerate_oriented(work, oriented, n)
+    cells = work.cells()
+    if n == 0:
+        out = frozenset({()})
+    elif not cells:
+        out = frozenset()
+    else:
+        total = len(cells) ** n
+        if total > grid_budget():
+            raise GridResourceError(
+                f"enumeration needs {total} words (budget {grid_budget()}); "
+                "raise SCHURGRID_GRID_BUDGET"
+            )
+        if len({j for _, j in cells}) == 1:
+            route = "one-column"
+            signs = [work.rows[i][j] for i, j in reversed(cells)]
+            words, sizes = _enumerate_one_column(signs, n)
+        else:
+            route = "gridded-state"
+            words, sizes = _enumerate_oriented(work, oriented, n)
+        out = frozenset(map(tuple, words.tolist()))
+        if debug:
+            _log.debug(
+                "grid %s n=%d: %s route, refined=%s, states per level %s, "
+                "%d permutations",
+                format_grid_matrix(m), n, route, work is not m, sizes, len(out),
+            )
     _grid_cache[key] = out
     return out
+
+
+def _enumerate_one_column(
+    signs: Sequence[int], n: int
+) -> tuple[np.ndarray, list[int]]:
+    """Members of the one-column class with bottom-to-top cell signs
+    ``signs``, as rows of a word matrix, and the row count per level.
+
+    A member's inverse splits into monotone runs, one per cell from the
+    bottom.  The values 1..n are inserted in turn, each row keeping its
+    current band and the position of its largest value: value j+1 stays in
+    the band when it continues the band's run (right of value j for plus,
+    left of it for minus) and opens the next band otherwise.  Staying is
+    never worse than moving up, so this greedy gridding is unique and every
+    member is built exactly once; rows needing more bands are dropped.
+    """
+    dtype = np.min_scalar_type(n)
+    plus = np.array(signs) > 0
+    words = np.ones((1, 1), dtype)
+    band = np.zeros(1, np.min_scalar_type(len(signs)))
+    top = np.zeros(1, np.intp)  # position of the largest value
+    sizes = [1]
+    for j in range(1, n):
+        gaps = np.arange(j + 1)
+        stay = (gaps > top[:, None]) == plus[band][:, None]
+        bands = band[:, None] + ~stay
+        rows, top = np.nonzero(bands < len(signs))
+        band = bands[rows, top]
+        old = words[rows]
+        words = np.empty((len(rows), j + 1), dtype)
+        new = gaps == top[:, None]
+        words[new] = j + 1
+        words[~new] = old.ravel()
+        sizes.append(len(words))
+    return words, sizes
 
 
 def _enumerate_oriented(
     m: GridMatrix,
     oriented: tuple[tuple[int, ...], tuple[int, ...]],
     n: int,
-) -> frozenset[Perm]:
-    cells = m.cells()
-    s = len(cells)
-    if n == 0:
-        return frozenset({()})
-    if s == 0:
-        return frozenset()
-    total = s**n
-    if total > grid_budget():
-        raise GridResourceError(
-            f"enumeration needs {total} words (budget {grid_budget()}); "
-            "raise SCHURGRID_GRID_BUDGET"
-        )
+) -> tuple[np.ndarray, list[int]]:
+    """Patterns of an oriented matrix with at least one cell, as rows of a
+    word matrix, and the number of distinct states per level.
+
+    Points are added in order of their parameter.  A state is a row
+    holding the pattern so far, the points per column and the points per
+    row.  The newest point has the largest parameter, so it lands at one
+    end of its column band and of its row band, as the column and row
+    signs say; two parameter words that differ by commuting cells (no
+    shared row or column) reach the same state, which is kept once.  The
+    last level keeps the patterns only.
+    """
     row_sign, col_sign = oriented
-    nr = m.n_rows
-    band = n + 1
-    # Point with parameter t in cell (i, j) sits at
-    #   X = bx + ax*t,  Y = by + ay*t.
-    ax = np.empty(s, dtype=np.int64)
-    bx = np.empty(s, dtype=np.int64)
-    ay = np.empty(s, dtype=np.int64)
-    by = np.empty(s, dtype=np.int64)
-    for idx, (i, j) in enumerate(cells):
-        if col_sign[j] > 0:
-            ax[idx], bx[idx] = 1, j * band
-        else:
-            ax[idx], bx[idx] = -1, (j + 1) * band
-        vertical = nr - 1 - i
-        if row_sign[i] > 0:
-            ay[idx], by[idx] = 1, vertical * band
-        else:
-            ay[idx], by[idx] = -1, (vertical + 1) * band
-    t = np.arange(1, n + 1, dtype=np.int64)
-    words = np.empty((0, n), np.min_scalar_type(n))
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((len(idx), n), dtype=np.int64)
-        rem = idx
-        for pos in range(n - 1, -1, -1):
-            digits[:, pos] = rem % s
-            rem = rem // s
-        x = bx[digits] + ax[digits] * t
-        y = by[digits] + ay[digits] * t
-        order = np.argsort(x, axis=1, kind="stable")
-        y_sorted = np.take_along_axis(y, order, axis=1)
-        ranks = np.argsort(
-            np.argsort(y_sorted, axis=1, kind="stable"), axis=1, kind="stable"
-        )
-        ranks += 1
-        words, _ = distinct_words(np.concatenate([words, ranks.astype(words.dtype)]))
-    return frozenset(map(tuple, words.tolist()))
+    cells = m.cells()
+    nc = m.n_cols
+    dtype = np.min_scalar_type(n)
+    states = np.zeros((1, nc + m.n_rows), dtype)
+    sizes = [1]
+    step = max(1, _CHUNK // len(cells))
+    for level in range(n):
+        width = level + 1 if level == n - 1 else states.shape[1] + 1
+        folded = np.empty((0, width), dtype)
+        for start in range(0, len(states), step):
+            block = states[start : start + step]
+            kids = np.concatenate(
+                [
+                    _place(block, level, nc, i, j, row_sign[i], col_sign[j])
+                    for i, j in cells
+                ]
+            )
+            folded, _ = distinct_words(
+                np.concatenate([folded, kids[:, :width]])
+            )
+        states = folded
+        sizes.append(len(states))
+    return states, sizes
+
+
+def _place(
+    block: np.ndarray, level: int, nc: int, i: int, j: int, rs: int, cs: int
+) -> np.ndarray:
+    """Children of the states in ``block`` (patterns of length ``level``)
+    whose newest point lies in cell (i, j) with row and column signs
+    ``rs`` and ``cs``."""
+    old = block[:, :level]
+    cols = block[:, level : level + nc]
+    rows = block[:, level + nc :]
+    pos = cols[:, :j].sum(axis=1, dtype=block.dtype)
+    if cs > 0:
+        pos += cols[:, j]
+    val = rows[:, i + 1 :].sum(axis=1, dtype=block.dtype) + 1
+    if rs > 0:
+        val += rows[:, i]
+    bumped = old + (old >= val[:, None])
+    out = np.empty((len(block), block.shape[1] + 1), block.dtype)
+    for p in range(level + 1):
+        left = bumped[:, p] if p < level else val
+        right = bumped[:, p - 1] if p else val
+        out[:, p] = np.where(p < pos, left, np.where(p > pos, right, val))
+    out[:, level + 1 :] = block[:, level:]
+    out[:, level + 1 + j] += 1
+    out[:, level + 1 + nc + i] += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

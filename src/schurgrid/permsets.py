@@ -344,7 +344,8 @@ def weak_descent_class(n: int, d: DescSet) -> PermSet:
             return
         size = sizes_left[0]
         for chosen in itertools.combinations(rest, size):
-            remaining = tuple(v for v in rest if v not in set(chosen))
+            taken = set(chosen)
+            remaining = tuple(v for v in rest if v not in taken)
             build(remaining, sizes_left[1:], acc + chosen)
 
     build(tuple(range(1, n + 1)), sizes, ())

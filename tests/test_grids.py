@@ -1,12 +1,16 @@
 """Geometric grid classes: matrix text forms, symmetries, enumeration
-versus membership predicates, resource budgeting."""
+versus the picture definition and membership predicates, resource
+budgeting."""
 
 from __future__ import annotations
 
 import itertools
+import logging
 
+import numpy as np
 import pytest
 
+from schurgrid import grids
 from schurgrid.grids import (
     GridMatrix,
     GridResourceError,
@@ -143,6 +147,78 @@ def test_consistent_orientation_and_refinement():
     assert consistent_orientation(refined) is not None
     for n in range(0, 5):
         assert enumerate_grid(clash, n) == enumerate_grid(refined, n)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration versus the picture definition
+# ---------------------------------------------------------------------------
+
+
+def picture_patterns(m, n):
+    """Brute-force reference: every word of ``n`` parameters over the cells
+    of the oriented (refined when needed) matrix, the point with parameter
+    t in cell (i, j) drawn at (bx + ax*t, by + ay*t) with its column and
+    row signs, and the pattern of the drawing read off."""
+    if n == 0:
+        return frozenset({()})
+    oriented = consistent_orientation(m)
+    if oriented is None:
+        m = refine_matrix(m)
+        oriented = consistent_orientation(m)
+    row_sign, col_sign = oriented
+    band = n + 1
+    coeffs = []
+    for i, j in m.cells():
+        ax, bx = (1, j * band) if col_sign[j] > 0 else (-1, (j + 1) * band)
+        height = m.n_rows - 1 - i
+        ay, by = (1, height * band) if row_sign[i] > 0 else (-1, (height + 1) * band)
+        coeffs.append((ax, bx, ay, by))
+    ax, bx, ay, by = np.array(coeffs).T
+    words = np.indices((len(coeffs),) * n).reshape(n, -1).T
+    t = np.arange(1, n + 1)
+    x = bx[words] + ax[words] * t
+    y = by[words] + ay[words] * t
+    y_by_x = np.take_along_axis(y, np.argsort(x, axis=1), axis=1)
+    ranks = np.argsort(np.argsort(y_by_x, axis=1), axis=1) + 1
+    return frozenset(map(tuple, ranks.tolist()))
+
+
+def reference_matrices():
+    yield from (identity_matrix(k) for k in range(1, 5))
+    yield from (zigzag_matrix(k) for k in range(1, 4))
+    yield from (fig_matrix(), j_matrix(), k_matrix(), left_unimodal_matrix())
+    yield from arc_matrices()
+    yield from (one_column_matrix(v) for v in sign_vectors(4))
+    # Zero rows, all cells in one of two columns, no consistent
+    # orientation, one row.
+    for text in ("+/0/-", "0/+/0/-/0", "0+/0-", "++/+-", "+-+-"):
+        yield parse_grid_matrix(text)
+
+
+def test_enumeration_matches_picture_definition():
+    for m in reference_matrices():
+        for n in range(0, 7):
+            assert enumerate_grid(m, n) == picture_patterns(m, n), (
+                format_grid_matrix(m), n,
+            )
+
+
+def test_enumeration_logs_route_and_states(monkeypatch, caplog):
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    enumerate_grid(parse_grid_matrix("+-"), 2)
+    enumerate_grid(parse_grid_matrix("+/-"), 3)
+    enumerate_grid(parse_grid_matrix("++/+-"), 1)
+    enumerate_grid(parse_grid_matrix("+/-"), 3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "grid +- n=2: gridded-state route, refined=False, "
+        "states per level [1, 2, 2], 2 permutations",
+        "grid +/- n=3: one-column route, refined=False, "
+        "states per level [1, 2, 4], 4 permutations",
+        "grid ++/+- n=1: gridded-state route, refined=True, "
+        "states per level [1, 1], 1 permutations",
+        "grid +/- n=3: cache hit",
+    ]
 
 
 # ---------------------------------------------------------------------------
