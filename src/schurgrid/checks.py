@@ -58,8 +58,10 @@ from .permutations import (
     parse_perm,
 )
 from .permsets import (
+    PermMultiset,
     PermSet,
     arc_class,
+    as_multiset,
     cdes_inverse_class,
     colayered_class,
     cyclic_class,
@@ -307,12 +309,16 @@ def _ribbon_schur(n: int, d: DescSet) -> SchurExpansion:
     return e
 
 
+def _battery(n: int) -> list[tuple[str, PermMultiset]]:
+    return [(name, as_multiset(bset, n)) for name, bset in fine_battery(n)]
+
+
 def _expanded_battery(
     n: int,
-) -> list[tuple[str, PermSet, SchurExpansion]]:
+) -> list[tuple[str, PermMultiset, SchurExpansion]]:
     out = []
-    for name, bset in fine_battery(n):
-        e = schur_expand(qsym_of(bset, n))
+    for name, bset in _battery(n):
+        e = schur_expand(bset.qsym())
         if isinstance(e, NotSymmetric):
             raise RuntimeError(
                 f"battery set {name} is unexpectedly not symmetric: "
@@ -436,12 +442,12 @@ def _scan(
 def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
     for d in _dessets(n, n - 1):
-        rclass = inv_weak_descent_class(n, d)
+        rclass = as_multiset(inv_weak_descent_class(n, d), n)
         r_expansion = SchurExpansion.zero(n)
         for size in range(len(d.members) + 1):
             for chosen in itertools.combinations(d.members, size):
                 r_expansion = r_expansion + _ribbon_schur(n, DescSet.of(n, chosen))
-        direct = schur_expand(qsym_of(rclass, n))
+        direct = schur_expand(rclass.qsym())
         led.add(
             f"R{d.braces()} two routes",
             direct.serialize(),
@@ -472,6 +478,7 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
 def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
     dessets = _dessets(n, n - 1)
+    dclasses = {d: as_multiset(inv_descent_class(n, d), n) for d in dessets}
     pairs = [(i, d) for i in range(len(battery)) for d in dessets]
     if n >= 6:
         rng = random.Random(_SAMPLE_SEED)
@@ -480,7 +487,7 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     for i, d in pairs:
         name, bset, be = battery[i]
         rhs_e = kronecker(be, _ribbon_schur(n, d))
-        lhs_q = product_qsym(bset, inv_descent_class(n, d))
+        lhs_q = product_qsym(bset, dclasses[d])
         led.add(
             f"{name} * D{d.braces()}",
             lhs_q.serialize(),
@@ -499,7 +506,7 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     " generating function of the remove-then-add-a-corner route.",
 )
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     for d in _dessets(n, n - 1):
         lhs = product_qsym(cyc, inv_descent_class(n, d))
         rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
@@ -535,9 +542,9 @@ def _run_prop_r2(led: _CaseLedger, n: int) -> None:
     " rotations of the k-cell one-column class.",
 )
 def _run_eq_recurrence(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     prev = qsym_of(zigzag_class(n, 1), n)
-    led.add("base", prev.serialize(), qsym_of(cyc, n).serialize())
+    led.add("base", prev.serialize(), cyc.qsym().serialize())
     for k in range(2, n + 1):
         cur = qsym_of(zigzag_class(n, k), n)
         rhs = product_qsym(cyc, plus_class(n, k)) - prev.scale(n - k)
@@ -570,7 +577,7 @@ def _run_arc_formula(led: _CaseLedger, n: int) -> None:
     " and two quasisymmetric routes.",
 )
 def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     for d in _dessets(n - 1, n - 2):
         dn = DescSet.of(n, d.members)
         exact = multiset_product(embed(inv_descent_class(n - 1, d), n), cyc)
@@ -627,7 +634,7 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
     " rotations of the k-cell ascending one-column class.",
 )
 def _run_cor_rotated_shuffles2(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     for k in range(1, n + 1):
         z = zigzag_class(n, k)
         led.add(
@@ -665,7 +672,7 @@ def _run_cor_cyc_fine(led: _CaseLedger, n: int) -> None:
 )
 def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
     lifted = embed(left_unimodal_class(n - 1), n)
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     arcs = arc_class(n)
     lc = multiset_product(lifted, cyc)
     cl = multiset_product(cyc, lifted)
@@ -707,7 +714,7 @@ def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
     " three hook-like Schur terms.",
 )
 def _run_cor_hrc(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     prev = colayered_class(n - 1, 1)
     for k in range(2, n):
         cur = colayered_class(n - 1, k)
@@ -927,9 +934,10 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
         "++-+--",
     )
     vs = _sign_vectors(3)
+    classes = {v: as_multiset(one_column_class(v, n), n) for v in vs}
     for v in vs:
         for w in vs:
-            left = set_product(one_column_class(v, n), one_column_class(w, n))
+            left = set_product(classes[v], classes[w])
             right = one_column_class(star_product(v, w), n)
             led.add_sets(
                 f"{format_sign_vector(v)} * {format_sign_vector(w)}", left, right
@@ -942,7 +950,7 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
     " corner cell to its Schur support.",
 )
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     for name, bset, be in _expanded_battery(n - 1):
         lhs = product_qsym(embed(bset, n), cyc)
         rhs = schur_f_vector(pieri_up(be))
@@ -1181,7 +1189,7 @@ class ScanReport:
     " Schur-positive.",
 )
 def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     cases = 0
     for v in _sign_vectors(n - 1):
         cases += 1
@@ -1201,7 +1209,7 @@ def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
     " class form sets with equal descent generating functions.",
 )
 def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
-    cyc = cyclic_class(n)
+    cyc = as_multiset(cyclic_class(n), n)
     cases = 0
     for d in _dessets(n - 1, n - 2):
         cases += 1
@@ -1226,10 +1234,10 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
     " descent generating function.",
 )
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
-    battery = fine_battery(n)
+    battery = _battery(n)
     cases = 0
     for d in _dessets(n, n - 1):
-        dclass = inv_descent_class(n, d)
+        dclass = as_multiset(inv_descent_class(n, d), n)
         for name, bset in battery:
             cases += 1
             left = product_qsym(dclass, bset)
@@ -1255,14 +1263,17 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
     classes: dict[object, list[Perm]] = {}
     for p in itertools.permutations(range(1, n + 1)):
         classes.setdefault(insertion_tableau(p), []).append(p)
-    items = sorted(classes.items(), key=lambda kv: min(kv[1]))
+    items = [
+        (t, words, as_multiset(words, n))
+        for t, words in sorted(classes.items(), key=lambda kv: min(kv[1]))
+    ]
     cases = 0
-    for ta, aa in items:
+    for ta, aa, am in items:
         ea = SchurExpansion.single(ta.shape.outer)
-        for tb, bb in items:
+        for tb, bb, bm in items:
             cases += 1
             expected = kronecker(ea, SchurExpansion.single(tb.shape.outer))
-            got = schur_expand(product_qsym(frozenset(aa), frozenset(bb)))
+            got = schur_expand(product_qsym(am, bm))
             if isinstance(got, NotSymmetric):
                 return (
                     "refuted",

@@ -12,13 +12,12 @@ for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Union
 
 import numpy as np
 
 from .grids import (
-    GridMatrix,
     SignVector,
     arc_matrices,
     enumerate_grid,
@@ -39,7 +38,7 @@ from .permutations import (
     read_collection,
     vertical_rotate,
 )
-from .qsym import QSym, qsym_of
+from .qsym import QSym
 from .tableaux import (
     Partition,
     enumerate_syt,
@@ -56,7 +55,6 @@ __all__ = [
     "multiset_product",
     "set_product",
     "product_qsym",
-    "embed_word",
     "embed",
     "invert_collection",
     "cycle_type",
@@ -88,53 +86,113 @@ PermSet = frozenset[Perm]
 CollectionLike = Union["PermMultiset", Mapping[Perm, int], Iterable[Perm]]
 
 
-@dataclass(frozen=True)
-class PermMultiset:
-    """Multiset of degree-``n`` permutations (sorted word/multiplicity
-    pairs, so equal multisets compare and hash equal)."""
+def _word_dtype(n: int) -> np.dtype:
+    """Letters of degree ``n``, big-endian: a row's bytes sort as its word."""
+    return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
 
-    n: int
-    elems: tuple[tuple[Perm, int], ...]
 
-    def __post_init__(self) -> None:
-        for word, mult in self.elems:
-            if len(word) != self.n:
+def _mult_dtype(total: int) -> type:
+    """``int64`` unless the total reaches 2**63; then Python ints, so no sum
+    of the multiplicities can overflow."""
+    return np.int64 if total < 2**63 else object
+
+
+class PermMultiset(Mapping):
+    """Multiset of degree-``n`` permutations, read as a mapping from word
+    to multiplicity.  ``words`` holds the distinct elements as the rows of
+    a read-only matrix in lexicographic order and ``mults`` their positive
+    multiplicities, so equal multisets compare and hash equal."""
+
+    __slots__ = ("n", "words", "mults", "_elems", "_index")
+
+    def __init__(self, n: int, elems: Iterable[tuple[Perm, int]]) -> None:
+        pairs = tuple(elems)
+        for word, mult in pairs:
+            if len(word) != n:
                 raise ValueError("element degree mismatch")
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
+        words = np.array([w for w, _ in pairs], _word_dtype(n)).reshape(len(pairs), n)
+        counts = [m for _, m in pairs]
+        self._fill(n, *distinct_words(words, np.array(counts, _mult_dtype(sum(counts)))))
+
+    def _fill(self, n: int, words: np.ndarray, mults: np.ndarray) -> None:
+        words.flags.writeable = mults.flags.writeable = False
+        self.n, self.words, self.mults = n, words, mults
+        self._elems = self._index = None
+
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray, mults: np.ndarray) -> "PermMultiset":
+        """Wrap distinct sorted rows and multiplicities of the dtypes above."""
+        out = cls.__new__(cls)
+        out._fill(n, words, mults)
+        return out
 
     @classmethod
     def from_mapping(cls, n: int, data: Mapping[Perm, int]) -> "PermMultiset":
-        return cls(n, tuple(sorted((w, m) for w, m in data.items() if m)))
+        return cls(n, ((w, m) for w, m in data.items() if m))
+
+    @property
+    def elems(self) -> tuple[tuple[Perm, int], ...]:
+        """The sorted ``(word, multiplicity)`` pairs, built on first use."""
+        if self._elems is None:
+            rows = map(tuple, self.words.tolist())
+            self._elems = tuple(zip(rows, self.mults.tolist()))
+        return self._elems
+
+    def __getitem__(self, word: Perm) -> int:
+        if self._index is None:
+            self._index = dict(self.elems)
+        return self._index[tuple(word)]
+
+    def __iter__(self) -> Iterator[Perm]:
+        return (w for w, _ in self.elems)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermMultiset):
+            return NotImplemented
+        return self.n == other.n and self.elems == other.elems
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.elems))
+
+    def __repr__(self) -> str:
+        return f"PermMultiset({self.n}, {self.elems!r})"
 
     def support(self) -> PermSet:
-        return frozenset(w for w, _ in self.elems)
+        return frozenset(map(tuple, self.words.tolist()))
 
     def multiplicity(self, word: Perm) -> int:
-        return dict(self.elems).get(word, 0)
+        return self.get(word, 0)
 
     def total_size(self) -> int:
-        return sum(m for _, m in self.elems)
+        return int(self.mults.sum())
 
     def support_size(self) -> int:
-        return len(self.elems)
+        return len(self.words)
 
     def is_set(self) -> bool:
-        return all(m == 1 for _, m in self.elems)
+        return bool(np.all(self.mults == 1))
 
     def scale(self, k: int) -> "PermMultiset":
-        return PermMultiset(self.n, tuple((w, k * m) for w, m in self.elems))
+        if k <= 0 and len(self.words):
+            raise ValueError("multiplicities must be positive")
+        mults = self.mults.astype(_mult_dtype(self.total_size() * k)) * k
+        return PermMultiset._of(self.n, self.words, mults)
 
     def __add__(self, other: "PermMultiset") -> "PermMultiset":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        data = dict(self.elems)
-        for w, m in other.elems:
-            data[w] = data.get(w, 0) + m
-        return PermMultiset.from_mapping(self.n, data)
+        dtype = _mult_dtype(self.total_size() + other.total_size())
+        mults = np.concatenate([self.mults, other.mults]).astype(dtype)
+        words = np.concatenate([self.words, other.words])
+        return PermMultiset._of(self.n, *distinct_words(words, mults))
 
     def qsym(self) -> QSym:
-        return qsym_of(dict(self.elems), self.n)
+        return _fold_descents(self.n, [(self.words, self.mults)])
 
 
 def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
@@ -153,29 +211,21 @@ def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
 _BLOCK = 1 << 20
 
 
-def _word_matrix(m: PermMultiset) -> np.ndarray:
-    return np.array(
-        [w for w, _ in m.elems], dtype=np.min_scalar_type(m.n)
-    ).reshape(len(m.elems), m.n)
-
-
 def _compositions(
     am: PermMultiset, bm: PermMultiset
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """All compositions ``x after y``, in blocks of ``(words, weights)``.
 
     ``words`` is a (k, n) matrix of 1-based words, one row per pair, and
-    ``weights`` holds the products ``mult(x) * mult(y)``.  The weights are
-    ``int64`` unless ``total(a) * total(b)`` reaches 2**63, when they are
-    Python integers, so no sum of them can overflow.
+    ``weights`` holds the products ``mult(x) * mult(y)``, of the dtype
+    :func:`_mult_dtype` gives their total ``total(a) * total(b)``.
     """
     n = am.n
     if n != bm.n:
         raise ValueError("degree mismatch")
-    dtype = object if am.total_size() * bm.total_size() >= 2**63 else np.int64
-    x, y = _word_matrix(am), _word_matrix(bm) - 1
-    mx = np.array([m for _, m in am.elems], dtype=dtype)
-    my = np.array([m for _, m in bm.elems], dtype=dtype)
+    dtype = _mult_dtype(am.total_size() * bm.total_size())
+    x, y = am.words, bm.words - 1
+    mx, my = am.mults.astype(dtype, copy=False), bm.mults.astype(dtype, copy=False)
     rows = max(1, _BLOCK // max(n, 1))
     for i in range(0, len(x), rows):
         xs, ms = x[i : i + rows], mx[i : i + rows]
@@ -187,24 +237,33 @@ def _compositions(
             yield words, np.multiply.outer(ms, my[j : j + step]).ravel()
 
 
+def _fold_descents(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> QSym:
+    """Descent generating function of weighted word blocks: each row's
+    descent mask is its row comparison dotted with the powers of two."""
+    powers = 1 << np.arange(max(n - 1, 0), dtype=np.int64)
+    acc = np.zeros(1 << max(n - 1, 0), np.int64)
+    for words, weights in blocks:
+        acc = acc.astype(weights.dtype, copy=False)  # object for Python ints
+        np.add.at(acc, (words[:, 1:] < words[:, :-1]) @ powers, weights)
+    return QSym(n, tuple(acc.tolist()))
+
+
 def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
     """Multiset of all compositions ``x after y`` with multiplicity."""
     am, bm = as_multiset(a), as_multiset(b)
-    words, weights = np.empty((0, am.n), np.uint8), np.empty(0, np.int64)
+    words, weights = am.words[:0], np.empty(0, np.int64)
     for block, block_weights in _compositions(am, bm):
         words, weights = distinct_words(
             np.concatenate([words, block]),
             np.concatenate([weights, block_weights]),
         )
-    return PermMultiset.from_mapping(
-        am.n, dict(zip(map(tuple, words.tolist()), weights.tolist()))
-    )
+    return PermMultiset._of(am.n, words, weights)
 
 
 def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
     """Support of the product: all compositions ``x after y``."""
     am, bm = as_multiset(a), as_multiset(b)
-    words = np.empty((0, am.n), np.uint8)
+    words = am.words[:0]
     for block, _ in _compositions(am, bm):
         words, _ = distinct_words(np.concatenate([words, block]))
     return frozenset(map(tuple, words.tolist()))
@@ -214,43 +273,25 @@ def product_qsym(a: CollectionLike, b: CollectionLike) -> QSym:
     """Descent generating function of the multiset product, folded block by
     block without materializing the product."""
     am, bm = as_multiset(a), as_multiset(b)
-    n = am.n
-    acc = np.zeros(1 << max(n - 1, 0), np.int64)
-    for words, weights in _compositions(am, bm):
-        acc = acc.astype(weights.dtype, copy=False)  # object for Python ints
-        masks = np.zeros(len(words), np.int64)
-        for i in range(n - 1):
-            masks[words[:, i + 1] < words[:, i]] += 1 << i
-        np.add.at(acc, masks, weights)
-    return QSym(n, tuple(acc.tolist()))
-
-
-def embed_word(word: Perm, n: int) -> Perm:
-    """Extend a degree-``m`` word to degree ``n`` fixing the new top values.
-
-    >>> embed_word((2, 1), 4)
-    (2, 1, 3, 4)
-    """
-    m = len(word)
-    if n < m:
-        raise ValueError("target degree too small")
-    return tuple(word) + tuple(range(m + 1, n + 1))
+    return _fold_descents(am.n, _compositions(am, bm))
 
 
 def embed(x: CollectionLike, n: int) -> PermMultiset:
-    """Embed every element of a collection into degree ``n``."""
+    """Embed every element of a collection into degree ``n`` (the same
+    fixed suffix on every row keeps the rows sorted)."""
     xm = as_multiset(x)
-    return PermMultiset.from_mapping(
-        n, {embed_word(w, n): m for w, m in xm.elems}
-    )
+    if n < xm.n:
+        raise ValueError("target degree too small")
+    words = np.empty((len(xm.words), n), _word_dtype(n))
+    words[:, : xm.n], words[:, xm.n :] = xm.words, np.arange(xm.n + 1, n + 1)
+    return PermMultiset._of(n, words, xm.mults)
 
 
 def invert_collection(x: CollectionLike) -> PermMultiset:
     """Replace every element by its inverse."""
     xm = as_multiset(x)
-    return PermMultiset.from_mapping(
-        xm.n, {inverse(w): m for w, m in xm.elems}
-    )
+    inverses = (np.argsort(xm.words, axis=1) + 1).astype(xm.words.dtype)
+    return PermMultiset._of(xm.n, *distinct_words(inverses, xm.mults))
 
 
 def cycle_type(p: Perm) -> Partition:
@@ -259,25 +300,25 @@ def cycle_type(p: Perm) -> Partition:
     >>> cycle_type((2, 1, 3))
     (2, 1)
     """
-    n = len(p)
-    seen = [False] * (n + 1)
-    out = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
+    seen: set[int] = set()
+    lengths = []
+    for v in p:
         length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = p[v - 1]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out, reverse=True))
+        while v not in seen:
+            seen.add(v)
+            v, length = p[v - 1], length + 1
+        lengths.append(length)
+    return tuple(sorted((x for x in lengths if x), reverse=True))
 
 
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
+
+
+def _members(n: int, keep: Callable[[Perm], bool]) -> PermSet:
+    """The permutations of degree ``n`` that ``keep`` accepts."""
+    return frozenset(filter(keep, itertools.permutations(range(1, n + 1))))
 
 
 def symmetric_group(n: int) -> PermSet:
@@ -312,9 +353,7 @@ def zigzag_class(n: int, k: int) -> PermSet:
     """Inverse cyclic-descent ball (the 2k-row two-column grid class);
     built from the membership predicate, which the check suite verifies
     against the geometric enumeration."""
-    return frozenset(
-        p for p in itertools.permutations(range(1, n + 1)) if zigzag_member(p, k)
-    )
+    return _members(n, lambda p: zigzag_member(p, k))
 
 
 def plus_class(n: int, k: int) -> PermSet:
@@ -335,20 +374,17 @@ def weak_descent_class(n: int, d: DescSet) -> PermSet:
     if d.n != n:
         raise ValueError("degree mismatch")
     cuts = [0, *d.members, n]
-    sizes = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
     out: list[Perm] = []
 
-    def build(rest: tuple[int, ...], sizes_left: Sequence[int], acc: tuple[int, ...]):
-        if not sizes_left:
+    def build(rest: tuple[int, ...], block: int, acc: tuple[int, ...]) -> None:
+        if block == len(cuts) - 1:
             out.append(acc)
             return
-        size = sizes_left[0]
-        for chosen in itertools.combinations(rest, size):
+        for chosen in itertools.combinations(rest, cuts[block + 1] - cuts[block]):
             taken = set(chosen)
-            remaining = tuple(v for v in rest if v not in taken)
-            build(remaining, sizes_left[1:], acc + chosen)
+            build(tuple(v for v in rest if v not in taken), block + 1, acc + chosen)
 
-    build(tuple(range(1, n + 1)), sizes, ())
+    build(tuple(range(1, n + 1)), 0, ())
     return frozenset(out)
 
 
@@ -376,18 +412,11 @@ def conjugacy_class(n: int, rho: Sequence[int]) -> PermSet:
     rho = tuple(sorted(rho, reverse=True))
     if sum(rho) != n:
         raise ValueError("cycle type size mismatch")
-    return frozenset(
-        p for p in itertools.permutations(range(1, n + 1)) if cycle_type(p) == rho
-    )
+    return _members(n, lambda p: cycle_type(p) == rho)
 
 
 def _inversions(p: Perm) -> int:
-    return sum(
-        1
-        for i in range(len(p))
-        for j in range(i + 1, len(p))
-        if p[i] > p[j]
-    )
+    return sum(a > b for a, b in itertools.combinations(p, 2))
 
 
 def inversion_sphere(n: int, k: int) -> PermSet:
@@ -396,25 +425,17 @@ def inversion_sphere(n: int, k: int) -> PermSet:
     >>> sorted(inversion_sphere(3, 1))
     [(1, 3, 2), (2, 1, 3)]
     """
-    return frozenset(
-        p for p in itertools.permutations(range(1, n + 1)) if _inversions(p) == k
-    )
+    return _members(n, lambda p: _inversions(p) == k)
 
 
 def inversion_ball(n: int, k: int) -> PermSet:
     """All words with at most ``k`` inversions."""
-    return frozenset(
-        p for p in itertools.permutations(range(1, n + 1)) if _inversions(p) <= k
-    )
+    return _members(n, lambda p: _inversions(p) <= k)
 
 
 def cdes_inverse_class(n: int, k: int) -> PermSet:
     """All words whose inverse has exactly ``k`` cyclic descents."""
-    return frozenset(
-        p
-        for p in itertools.permutations(range(1, n + 1))
-        if cdes_count(inverse(p)) == k
-    )
+    return _members(n, lambda p: cdes_count(inverse(p)) == k)
 
 
 # ---------------------------------------------------------------------------
@@ -424,45 +445,28 @@ def cdes_inverse_class(n: int, k: int) -> PermSet:
 BATTERY_FAMILIES = ("knuth", "conj", "invfix", "Dinv", "colayer")
 
 
-def _battery_knuth(n: int) -> list[tuple[str, PermSet]]:
-    out = []
-    for mu in partitions(n):
-        for t in enumerate_syt(straight_shape(mu)):
-            words = knuth_class_words(t)
-            out.append((f"knuth[{''.join(map(str, words[0]))}]", frozenset(words)))
-    return out
-
-
-def _battery_conj(n: int) -> list[tuple[str, PermSet]]:
-    return [
-        ("conj[" + ",".join(map(str, rho)) + "]", conjugacy_class(n, rho))
-        for rho in partitions(n)
-    ]
-
-
-def _battery_invfix(n: int) -> list[tuple[str, PermSet]]:
-    top = n * (n - 1) // 2
-    return [(f"invfix[{k}]", inversion_sphere(n, k)) for k in range(top + 1)]
-
-
-def _battery_dinv(n: int) -> list[tuple[str, PermSet]]:
-    return [
-        (f"Dinv{DescSet(n, mask).braces()}", inv_descent_class(n, DescSet(n, mask)))
-        for mask in range(1 << max(n - 1, 0))
-    ]
-
-
-def _battery_colayer(n: int) -> list[tuple[str, PermSet]]:
-    return [(f"colayer[{k}]", colayered_class(n, k)) for k in range(1, n + 1)]
-
-
-_BATTERY_BUILDERS: dict[str, Callable[[int], list[tuple[str, PermSet]]]] = {
-    "knuth": _battery_knuth,
-    "conj": _battery_conj,
-    "invfix": _battery_invfix,
-    "Dinv": _battery_dinv,
-    "colayer": _battery_colayer,
-}
+def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
+    if fam == "knuth":
+        words = [
+            knuth_class_words(t)
+            for mu in partitions(n)
+            for t in enumerate_syt(straight_shape(mu))
+        ]
+        return [(f"knuth[{''.join(map(str, w[0]))}]", frozenset(w)) for w in words]
+    if fam == "conj":
+        return [
+            ("conj[" + ",".join(map(str, rho)) + "]", conjugacy_class(n, rho))
+            for rho in partitions(n)
+        ]
+    if fam == "invfix":
+        top = n * (n - 1) // 2
+        return [(f"invfix[{k}]", inversion_sphere(n, k)) for k in range(top + 1)]
+    if fam == "Dinv":
+        dessets = [DescSet(n, mask) for mask in range(1 << max(n - 1, 0))]
+        return [(f"Dinv{d.braces()}", inv_descent_class(n, d)) for d in dessets]
+    if fam == "colayer":
+        return [(f"colayer[{k}]", colayered_class(n, k)) for k in range(1, n + 1)]
+    raise ValueError(f"unknown battery family {fam!r}")
 
 
 def fine_battery(
@@ -476,9 +480,4 @@ def fine_battery(
     ['conj[3]', 'conj[2,1]', 'conj[1,1,1]']
     """
     chosen = BATTERY_FAMILIES if families is None else tuple(families)
-    out: list[tuple[str, PermSet]] = []
-    for fam in chosen:
-        if fam not in _BATTERY_BUILDERS:
-            raise ValueError(f"unknown battery family {fam!r}")
-        out.extend(_BATTERY_BUILDERS[fam](n))
-    return out
+    return [entry for fam in chosen for entry in _battery_family(n, fam)]

@@ -473,10 +473,10 @@ def shuffles(
 def read_collection(
     elems: Mapping[Perm, int] | Iterable[Perm], n: int | None = None
 ) -> tuple[int, dict[Perm, int]]:
-    """Degree and word -> multiplicity counts of a mapping (taken as given)
-    or of an iterable of words (each occurrence counts once).  ``n`` is
-    required only when the collection is empty; mixed degrees, or a degree
-    other than ``n``, are rejected.
+    """Degree and word -> multiplicity counts of a mapping (taken as given;
+    a ``PermMultiset`` is one) or of an iterable of words (each occurrence
+    counts once).  ``n`` is required only when the collection is empty;
+    mixed degrees, or a degree other than ``n``, are rejected.
 
     >>> read_collection([(2, 1), (1, 2), (2, 1)])
     (2, Counter({(2, 1): 2, (1, 2): 1}))
@@ -512,7 +512,8 @@ def distinct_words(
     """
     n = words.shape[1]
     if n == 0:  # degree 0: every row is the empty word
-        return words[:1], None if weights is None else weights.sum(keepdims=True)
+        k = min(len(words), 1)
+        return words[:k], None if weights is None else weights.sum(keepdims=True)[:k]
     keys = np.ascontiguousarray(words).view(f"S{n * words.itemsize}")[:, 0]
     if weights is None:
         unique, sums = np.unique(keys), None

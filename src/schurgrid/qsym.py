@@ -68,6 +68,19 @@ def _width(n: int) -> int:
     return 1 << max(n - 1, 0)
 
 
+def _mask_braces(mask: int) -> str:
+    """``DescSet(n, mask).braces()``, read straight off the bits without
+    building the set."""
+    members = []
+    i = 1
+    while mask:
+        if mask & 1:
+            members.append(str(i))
+        mask >>= 1
+        i += 1
+    return "{" + ",".join(members) + "}"
+
+
 @dataclass(frozen=True)
 class QSym:
     """Integer vector over the fundamental basis of degree ``n``.
@@ -154,7 +167,7 @@ class QSym:
         for mask, c in enumerate(self.coeffs):
             if not c:
                 continue
-            braces = DescSet(self.n, mask).braces()
+            braces = _mask_braces(mask)
             if c == 1:
                 terms.append(f"F{braces}")
             elif c == -1:

@@ -10,11 +10,17 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurgrid.characters import class_size
+from schurgrid import permsets, qsym
+from schurgrid.characters import (
+    char_from_signed_formula,
+    class_size,
+    signed_char_vector,
+)
 from schurgrid.permutations import (
     DescSet,
     cdes_count,
@@ -22,6 +28,7 @@ from schurgrid.permutations import (
     des_set,
     inverse,
     parse_perm,
+    read_collection,
 )
 from schurgrid.qsym import (
     NotSymmetric,
@@ -41,7 +48,6 @@ from schurgrid.permsets import (
     cyclic_class,
     descent_class,
     embed,
-    embed_word,
     fine_battery,
     inv_descent_class,
     inv_weak_descent_class,
@@ -125,6 +131,124 @@ def test_empty_multiset_needs_degree():
     assert as_multiset([], 4).total_size() == 0
 
 
+def assert_canonical(m):
+    """The representation's invariants: distinct sorted rows, the
+    multiplicity dtype their total asks for, and value equality."""
+    rows = [tuple(r) for r in m.words.tolist()]
+    assert rows == sorted(set(rows))
+    assert m.words.shape == (len(rows), m.n)
+    total = sum(m.mults.tolist())
+    assert all(c > 0 for c in m.mults.tolist())
+    assert m.mults.dtype == (np.int64 if total < 2**63 else object)
+    assert m.elems == tuple(zip(rows, m.mults.tolist()))
+    rebuilt = PermMultiset.from_mapping(m.n, dict(m.elems))
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.permutations(tuple(range(1, n + 1))).map(tuple),
+                st.sampled_from((1, 2, 3, 2**40)),
+                max_size=5,
+            ),
+            st.dictionaries(
+                st.permutations(tuple(range(1, n + 1))).map(tuple),
+                st.sampled_from((1, 7, 2**40)),
+                max_size=5,
+            ),
+            st.sampled_from((1, 3, 2**30)),
+            st.integers(0, 2),
+        )
+    )
+)
+@example((0, {}, {}, 3, 1))
+@example((0, {(): 2**40}, {(): 2**40}, 2**30, 2))
+@example((3, {}, {(2, 3, 1): 5}, 1, 0))
+@example((2, {(1, 2): 2**40, (2, 1): 2**40}, {(2, 1): 2**40}, 2**30, 1))
+def test_multiset_representation_invariants(case):
+    n, data, other_data, k, lift = case
+    m = PermMultiset(n, data.items())
+    other = PermMultiset.from_mapping(n, other_data)
+    assert m.elems == tuple(sorted(data.items()))
+    assert m == PermMultiset.from_mapping(n, data)
+    assert hash(m) == hash(PermMultiset.from_mapping(n, data))
+    assert (m == other) == (data == other_data)
+    total = {w: data.get(w, 0) + other_data.get(w, 0) for w in data | other_data}
+    cases = {
+        "m": (m, data),
+        "scale": (m.scale(k), {w: k * c for w, c in data.items()}),
+        "add": (m + other, total),
+        "embed": (
+            embed(m, n + lift),
+            {w + tuple(range(n + 1, n + lift + 1)): c for w, c in data.items()},
+        ),
+        "invert": (invert_collection(m), {inverse(w): c for w, c in data.items()}),
+        "product": (multiset_product(m, other), reference_product(m, other).elems),
+    }
+    for name, (got, expected) in cases.items():
+        assert_canonical(got)
+        expected = dict(expected)
+        assert got.elems == tuple(sorted(expected.items())), name
+        assert got == PermMultiset.from_mapping(got.n, expected), name
+
+
+def test_products_never_reread_array_backed_inputs(monkeypatch):
+    a = as_multiset(symmetric_group(4)).scale(2**40)
+    b = as_multiset(inversion_ball(4, 2))
+    small = as_multiset([(2, 1, 3)])
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("collection re-read")
+
+    monkeypatch.setattr(permsets, "read_collection", refuse)
+    monkeypatch.setattr(qsym, "read_collection", refuse)
+    monkeypatch.setattr(PermMultiset, "__init__", refuse)
+    monkeypatch.setattr(PermMultiset, "elems", property(refuse))
+    assert product_qsym(a, b).n == 4
+    assert multiset_product(a, b).total_size() == a.total_size() * b.total_size()
+    assert set_product(b, a) == frozenset(symmetric_group(4))
+    assert embed(small, 5).support_size() == 1
+    assert invert_collection(small).support() == {(2, 1, 3)}
+    assert a.qsym().n == 4
+
+
+# ---------------------------------------------------------------------------
+# Readers accept a PermMultiset, its counts taken as given
+# ---------------------------------------------------------------------------
+
+READER_DATA = {(2, 1, 3): 3, (1, 2, 3): 2, (3, 1, 2): 5}
+
+
+def test_read_collection_reads_a_multiset():
+    m = PermMultiset.from_mapping(3, READER_DATA)
+    assert read_collection(m) == (3, READER_DATA)
+    assert read_collection(m, 3) == (3, READER_DATA)
+    with pytest.raises(ValueError):
+        read_collection(m, 4)
+
+
+def test_qsym_of_reads_a_multiset():
+    m = PermMultiset.from_mapping(3, READER_DATA)
+    assert qsym_of(m) == qsym_of(READER_DATA) == m.qsym()
+
+
+def test_signed_char_vector_reads_a_multiset():
+    m = PermMultiset.from_mapping(3, READER_DATA)
+    assert signed_char_vector(m) == signed_char_vector(READER_DATA)
+
+
+def test_char_from_signed_formula_reads_a_multiset():
+    m = PermMultiset.from_mapping(3, READER_DATA)
+    for mu in ((3,), (2, 1), (1, 1, 1)):
+        assert char_from_signed_formula(m, mu) == char_from_signed_formula(
+            READER_DATA, mu
+        )
+
+
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -197,10 +321,10 @@ def test_rotations_of_embedded_sets_are_sets():
 
 
 def test_embed_word_appends_fixed_points():
-    assert embed_word((2, 1), 4) == (2, 1, 3, 4)
-    assert embed_word((2, 1), 2) == (2, 1)
+    assert embed(as_multiset([(2, 1)]), 4).support() == {(2, 1, 3, 4)}
+    assert embed(as_multiset([(2, 1)]), 2).support() == {(2, 1)}
     with pytest.raises(ValueError):
-        embed_word((2, 1), 1)
+        embed(as_multiset([(2, 1)]), 1)
 
 
 def test_embed_multiset():

@@ -84,6 +84,16 @@ def test_qsym_serialize_frozen():
     assert QSym.unit(2).serialize() == "n=2; F{}"
 
 
+def test_qsym_serialize_braces_match_descsets():
+    for n in range(9):
+        width = 1 << max(n - 1, 0)
+        for mask in range(width):
+            q = QSym.single(n, DescSet(n, mask), -3)
+            assert q.serialize() == f"n={n}; -3*F{DescSet(n, mask).braces()}"
+        terms = [f"F{DescSet(n, mask).braces()}" for mask in range(width)]
+        assert QSym(n, (1,) * width).serialize() == f"n={n}; " + " + ".join(terms)
+
+
 def test_qsym_of_validates_degrees():
     with pytest.raises(ValueError):
         qsym_of([])
