@@ -26,6 +26,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .characters import kronecker, sign_twist
 from .grids import (
     GridMatrix,
@@ -76,6 +78,7 @@ from .permsets import (
     one_column_class,
     plus_class,
     product_qsym,
+    product_qsym_grid,
     set_product,
     zigzag_class,
 )
@@ -309,6 +312,11 @@ def _ribbon_schur(n: int, d: DescSet) -> SchurExpansion:
     return e
 
 
+def _qsyms(n: int, cells: np.ndarray) -> list[QSym]:
+    """The ``QSym`` of each row of ``product_qsym_grid`` coefficients."""
+    return [QSym(n, tuple(row)) for row in cells.tolist()]
+
+
 def _battery(n: int) -> list[tuple[str, PermMultiset]]:
     return [(name, as_multiset(bset, n)) for name, bset in fine_battery(n)]
 
@@ -441,6 +449,7 @@ def _scan(
 )
 def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
+    bsets = [bset for _, bset, _ in battery]
     for d in _dessets(n, n - 1):
         rclass = as_multiset(inv_weak_descent_class(n, d), n)
         r_expansion = SchurExpansion.zero(n)
@@ -453,9 +462,9 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
             direct.serialize(),
             r_expansion.serialize(),
         )
-        for name, bset, be in battery:
+        lhs_qs = _qsyms(n, product_qsym_grid(bsets, [rclass])[:, 0])
+        for (name, _, be), lhs_q in zip(battery, lhs_qs):
             rhs_e = kronecker(be, r_expansion)
-            lhs_q = product_qsym(bset, rclass)
             led.add(
                 f"{name} * R{d.braces()}",
                 lhs_q.serialize(),
@@ -480,14 +489,19 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     dessets = _dessets(n, n - 1)
     dclasses = {d: as_multiset(inv_descent_class(n, d), n) for d in dessets}
     pairs = [(i, d) for i in range(len(battery)) for d in dessets]
+    folded: dict[DescSet, list[QSym]] = {}
     if n >= 6:
         rng = random.Random(_SAMPLE_SEED)
         pairs = rng.sample(pairs, 60)
         led.note(f"degree {n}: deterministic sample of 60 pairs (seed {_SAMPLE_SEED})")
+    else:
+        bsets = [bset for _, bset, _ in battery]
+        for d in dessets:
+            folded[d] = _qsyms(n, product_qsym_grid(bsets, [dclasses[d]])[:, 0])
     for i, d in pairs:
         name, bset, be = battery[i]
         rhs_e = kronecker(be, _ribbon_schur(n, d))
-        lhs_q = product_qsym(bset, dclasses[d])
+        lhs_q = folded[d][i] if folded else product_qsym(bset, dclasses[d])
         led.add(
             f"{name} * D{d.braces()}",
             lhs_q.serialize(),
@@ -507,8 +521,10 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
 )
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
     cyc = as_multiset(cyclic_class(n), n)
-    for d in _dessets(n, n - 1):
-        lhs = product_qsym(cyc, inv_descent_class(n, d))
+    dessets = _dessets(n, n - 1)
+    dclasses = [inv_descent_class(n, d) for d in dessets]
+    lhss = _qsyms(n, product_qsym_grid([cyc], dclasses)[0])
+    for d, lhs in zip(dessets, lhss):
         rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
         led.add(f"D{d.braces()}", lhs.serialize(), rhs.serialize())
 
@@ -1235,21 +1251,27 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
 )
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     battery = _battery(n)
-    cases = 0
-    for d in _dessets(n, n - 1):
-        dclass = as_multiset(inv_descent_class(n, d), n)
-        for name, bset in battery:
-            cases += 1
-            left = product_qsym(dclass, bset)
-            right = product_qsym(bset, dclass)
-            if left != right:
-                return (
-                    "refuted",
-                    cases,
-                    f"B={name}, J={d.braces()}: {left.serialize()} != "
-                    f"{right.serialize()}",
-                )
-    return "holds", cases, None
+    dessets = _dessets(n, n - 1)
+    dclasses = [as_multiset(inv_descent_class(n, d), n) for d in dessets]
+    commute = np.empty((len(dessets), len(battery)), bool)
+    for b, (_, bset) in enumerate(battery):
+        left = product_qsym_grid(dclasses, [bset])[:, 0]
+        right = product_qsym_grid([bset], dclasses)[0]
+        commute[:, b] = (left == right).all(axis=1)
+    # Cases run d-major, so the first failing pair is the first in ravel order.
+    failing = np.flatnonzero(~commute)
+    if not len(failing):
+        return "holds", commute.size, None
+    first = int(failing[0])
+    i, b = divmod(first, len(battery))
+    (name, bset), dclass = battery[b], dclasses[i]
+    left, right = product_qsym(dclass, bset), product_qsym(bset, dclass)
+    return (
+        "refuted",
+        first + 1,
+        f"B={name}, J={dessets[i].braces()}: {left.serialize()} != "
+        f"{right.serialize()}",
+    )
 
 
 @_scan(
@@ -1267,13 +1289,15 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
         (t, words, as_multiset(words, n))
         for t, words in sorted(classes.items(), key=lambda kv: min(kv[1]))
     ]
+    bms = [bm for _, _, bm in items]
     cases = 0
     for ta, aa, am in items:
         ea = SchurExpansion.single(ta.shape.outer)
-        for tb, bb, bm in items:
+        products = _qsyms(n, product_qsym_grid([am], bms)[0])
+        for (tb, bb, _), product in zip(items, products):
             cases += 1
             expected = kronecker(ea, SchurExpansion.single(tb.shape.outer))
-            got = schur_expand(product_qsym(am, bm))
+            got = schur_expand(product)
             if isinstance(got, NotSymmetric):
                 return (
                     "refuted",

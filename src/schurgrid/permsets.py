@@ -4,14 +4,16 @@ and the named families used throughout the check suite.
 The product of two collections is taken elementwise by composition
 (``(a, b) -> a after b``); multiset products keep multiplicities, set
 products keep support only.  All three products compose whole blocks of
-word matrices at once; descent generating functions of large products are
-folded block by block, so the product is never materialized unless asked
+word matrices at once.  Descent generating functions are folded block by
+block, for a whole grid of products in one composition pass
+(:func:`product_qsym_grid`), so no product is materialized unless asked
 for.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Union
 
@@ -31,7 +33,6 @@ from .permutations import (
     DescSet,
     Perm,
     cdes_count,
-    des_mask,
     distinct_words,
     identity,
     inverse,
@@ -55,6 +56,7 @@ __all__ = [
     "multiset_product",
     "set_product",
     "product_qsym",
+    "product_qsym_grid",
     "embed",
     "invert_collection",
     "cycle_type",
@@ -163,7 +165,7 @@ class PermMultiset(Mapping):
         return f"PermMultiset({self.n}, {self.elems!r})"
 
     def support(self) -> PermSet:
-        return frozenset(map(tuple, self.words.tolist()))
+        return _frozen(self.words)
 
     def multiplicity(self, word: Perm) -> int:
         return self.get(word, 0)
@@ -192,7 +194,10 @@ class PermMultiset(Mapping):
         return PermMultiset._of(self.n, *distinct_words(words, mults))
 
     def qsym(self) -> QSym:
-        return _fold_descents(self.n, [(self.words, self.mults)])
+        acc = np.zeros(1 << max(self.n - 1, 0), self.mults.dtype)
+        masks = _descent_masks(self.n, self.mults.shape, lambda c: self.words[:, c])
+        np.add.at(acc, masks, self.mults)
+        return QSym(self.n, tuple(acc.tolist()))
 
 
 def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
@@ -210,6 +215,8 @@ def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
 # Cells (composed letters) per block of compositions.
 _BLOCK = 1 << 20
 
+_log = logging.getLogger("schurgrid")
+
 
 def _compositions(
     am: PermMultiset, bm: PermMultiset
@@ -223,6 +230,8 @@ def _compositions(
     n = am.n
     if n != bm.n:
         raise ValueError("degree mismatch")
+    if not (len(am) and len(bm)):  # the weights of one side may not fit dtype
+        return
     dtype = _mult_dtype(am.total_size() * bm.total_size())
     x, y = am.words, bm.words - 1
     mx, my = am.mults.astype(dtype, copy=False), bm.mults.astype(dtype, copy=False)
@@ -235,17 +244,6 @@ def _compositions(
             # xs[:, ys][r, c] is the word xs[r] after ys[c].
             words = xs[:, ys].reshape(len(xs) * len(ys), n)
             yield words, np.multiply.outer(ms, my[j : j + step]).ravel()
-
-
-def _fold_descents(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> QSym:
-    """Descent generating function of weighted word blocks: each row's
-    descent mask is its row comparison dotted with the powers of two."""
-    powers = 1 << np.arange(max(n - 1, 0), dtype=np.int64)
-    acc = np.zeros(1 << max(n - 1, 0), np.int64)
-    for words, weights in blocks:
-        acc = acc.astype(weights.dtype, copy=False)  # object for Python ints
-        np.add.at(acc, (words[:, 1:] < words[:, :-1]) @ powers, weights)
-    return QSym(n, tuple(acc.tolist()))
 
 
 def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
@@ -266,14 +264,87 @@ def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
     words = am.words[:0]
     for block, _ in _compositions(am, bm):
         words, _ = distinct_words(np.concatenate([words, block]))
-    return frozenset(map(tuple, words.tolist()))
+    return _frozen(words)
+
+
+def _descent_masks(
+    n: int, shape: tuple[int, ...], letter: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Descent masks of an array of degree-``n`` words whose ``c``-th
+    letters are ``letter(c)``: bit ``c - 1`` is set where letter ``c`` is
+    below letter ``c - 1``.  One letter column is held at a time."""
+    dtype = np.min_scalar_type((1 << max(n - 1, 0)) - 1)
+    masks = np.zeros(shape, dtype)
+    prev = None
+    for c in range(n):
+        cur = letter(c)
+        if c:
+            masks |= np.left_shift(cur < prev, c - 1, dtype=dtype)
+        prev = cur
+    return masks
+
+
+def _stack(xs: list[PermMultiset], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words, multiplicities and member index of every row of ``xs``."""
+    if any(x.n != n for x in xs):
+        raise ValueError("degree mismatch")
+    words = np.concatenate([x.words for x in xs] or [np.empty((0, n), _word_dtype(n))])
+    mults = np.concatenate([x.mults for x in xs] or [np.empty(0, np.int64)])
+    owner = np.repeat(np.arange(len(xs), dtype=np.int64), [len(x.words) for x in xs])
+    return words, mults, owner
+
+
+def product_qsym_grid(
+    lefts: Sequence[CollectionLike], rights: Sequence[CollectionLike]
+) -> np.ndarray:
+    """Descent generating functions of every product ``lefts[i] * rights[j]``.
+
+    Entry ``[i, j]`` of the ``(len(lefts), len(rights), 2**(n-1))`` result
+    holds the coefficients of ``product_qsym(lefts[i], rights[j])``; its
+    dtype is ``int64``, or ``object`` once ``sum(total(lefts)) *
+    sum(total(rights))`` reaches 2**63.  All members are stacked into one
+    word matrix per side and composed in blocks of about ``_BLOCK`` cells;
+    each composition is folded at key ``(i * len(rights) + j) * 2**(n-1) +
+    descent mask`` by one ``np.add.at`` per block, so no product is
+    materialized.  With no members at all the degree is unknown and the
+    last axis has length 1.
+    """
+    ls, rs = [as_multiset(a) for a in lefts], [as_multiset(b) for b in rights]
+    n = next((m.n for m in ls + rs), 0)
+    x, mx, lid = _stack(ls, n)
+    y, my, rid = _stack(rs, n)
+    width = 1 << max(n - 1, 0)
+    total = sum(a.total_size() for a in ls) * sum(b.total_size() for b in rs)
+    dtype = _mult_dtype(total)
+    acc = np.zeros(len(ls) * len(rs) * width, dtype)
+    lbase, rbase, y = lid * (len(rs) * width), rid * width, y - 1
+    rows = max(1, _BLOCK // max(n, 1))
+    blocks = 0
+    # With no right rows the total is 0 and left weights may not fit dtype.
+    for i in range(0, len(x) if len(y) else 0, rows):
+        xs, ms = x[i : i + rows], mx[i : i + rows].astype(dtype, copy=False)
+        step = max(1, rows // len(xs))
+        for j in range(0, len(y), step):
+            ys = y[j : j + step]
+            # xs[:, ys[:, c]][r, s] is letter c of the word xs[r] after ys[s].
+            keys = lbase[i : i + rows, None] + rbase[None, j : j + step]
+            keys += _descent_masks(n, keys.shape, lambda c: xs[:, ys[:, c]])
+            weights = np.multiply.outer(ms, my[j : j + step].astype(dtype, copy=False))
+            np.add.at(acc, keys.ravel(), weights.ravel())
+            blocks += 1
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "product_qsym_grid %d x %d: %d compositions in %d blocks",
+            len(ls), len(rs), len(x) * len(y), blocks,
+        )
+    return acc.reshape(len(ls), len(rs), width)
 
 
 def product_qsym(a: CollectionLike, b: CollectionLike) -> QSym:
-    """Descent generating function of the multiset product, folded block by
-    block without materializing the product."""
-    am, bm = as_multiset(a), as_multiset(b)
-    return _fold_descents(am.n, _compositions(am, bm))
+    """Descent generating function of the multiset product: the one-cell
+    case of :func:`product_qsym_grid`."""
+    am = as_multiset(a)
+    return QSym(am.n, tuple(product_qsym_grid([am], [b])[0, 0].tolist()))
 
 
 def embed(x: CollectionLike, n: int) -> PermMultiset:
@@ -290,8 +361,7 @@ def embed(x: CollectionLike, n: int) -> PermMultiset:
 def invert_collection(x: CollectionLike) -> PermMultiset:
     """Replace every element by its inverse."""
     xm = as_multiset(x)
-    inverses = (np.argsort(xm.words, axis=1) + 1).astype(xm.words.dtype)
-    return PermMultiset._of(xm.n, *distinct_words(inverses, xm.mults))
+    return PermMultiset._of(xm.n, *distinct_words(_inverses(xm.words), xm.mults))
 
 
 def cycle_type(p: Perm) -> Partition:
@@ -368,39 +438,57 @@ def k_class(n: int) -> PermSet:
     return enumerate_grid(k_matrix(), n)
 
 
+def _weak_descent_words(n: int, d: DescSet) -> np.ndarray:
+    """Matrix of all words whose descent set is contained in ``d``.
+
+    Each word is the values labelled block by block, increasing within a
+    block: the stable argsort of a block-label word.  The label words (one
+    label per value, each block used as often as its size) are grown one
+    value at a time."""
+    if d.n != n:
+        raise ValueError("degree mismatch")
+    dtype = np.min_scalar_type(n)
+    free = np.diff([0, *d.members, n]).astype(dtype)[None, :]
+    labels = np.empty((1, 0), dtype)
+    for _ in range(n):
+        row, block = np.nonzero(free)
+        labels = np.column_stack([labels[row], block.astype(dtype)])
+        free = free[row]
+        free[np.arange(len(row)), block] -= 1
+    return (np.argsort(labels, axis=1, kind="stable") + 1).astype(_word_dtype(n))
+
+
+def _descent_words(n: int, d: DescSet) -> np.ndarray:
+    words = _weak_descent_words(n, d)
+    masks = _descent_masks(n, (len(words),), lambda c: words[:, c])
+    return words[masks == d.mask]
+
+
+def _inverses(words: np.ndarray) -> np.ndarray:
+    return (np.argsort(words, axis=1) + 1).astype(words.dtype)
+
+
+def _frozen(words: np.ndarray) -> PermSet:
+    return frozenset(map(tuple, words.tolist()))
+
+
 def weak_descent_class(n: int, d: DescSet) -> PermSet:
     """All words whose descent set is contained in ``d``: concatenations
     of increasing blocks, one choice of value set per block."""
-    if d.n != n:
-        raise ValueError("degree mismatch")
-    cuts = [0, *d.members, n]
-    out: list[Perm] = []
-
-    def build(rest: tuple[int, ...], block: int, acc: tuple[int, ...]) -> None:
-        if block == len(cuts) - 1:
-            out.append(acc)
-            return
-        for chosen in itertools.combinations(rest, cuts[block + 1] - cuts[block]):
-            taken = set(chosen)
-            build(tuple(v for v in rest if v not in taken), block + 1, acc + chosen)
-
-    build(tuple(range(1, n + 1)), 0, ())
-    return frozenset(out)
+    return _frozen(_weak_descent_words(n, d))
 
 
 def descent_class(n: int, d: DescSet) -> PermSet:
     """All words whose descent set is exactly ``d``."""
-    return frozenset(
-        p for p in weak_descent_class(n, d) if des_mask(p) == d.mask
-    )
+    return _frozen(_descent_words(n, d))
 
 
 def inv_descent_class(n: int, d: DescSet) -> PermSet:
-    return frozenset(inverse(p) for p in descent_class(n, d))
+    return _frozen(_inverses(_descent_words(n, d)))
 
 
 def inv_weak_descent_class(n: int, d: DescSet) -> PermSet:
-    return frozenset(inverse(p) for p in weak_descent_class(n, d))
+    return _frozen(_inverses(_weak_descent_words(n, d)))
 
 
 def knuth_class(p: Perm) -> PermSet:

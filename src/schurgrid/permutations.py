@@ -475,7 +475,8 @@ def read_collection(
 ) -> tuple[int, dict[Perm, int]]:
     """Degree and word -> multiplicity counts of a mapping (taken as given;
     a ``PermMultiset`` is one) or of an iterable of words (each occurrence
-    counts once).  ``n`` is required only when the collection is empty;
+    counts once).  ``n`` is required only when the collection is empty
+    and does not carry its degree as ``.n`` (a ``PermMultiset`` does);
     mixed degrees, or a degree other than ``n``, are rejected.
 
     >>> read_collection([(2, 1), (1, 2), (2, 1)])
@@ -483,6 +484,8 @@ def read_collection(
     """
     counts = Counter(elems)
     degrees = {len(w) for w in counts}
+    if not degrees and hasattr(elems, "n"):
+        degrees = {elems.n}
     if len(degrees) > 1:
         raise ValueError("mixed degrees in collection")
     degree = degrees.pop() if degrees else n

@@ -221,7 +221,7 @@ def qsym_of(
     """Descent generating function of a (multi)set of permutations.
 
     Accepts a mapping word -> multiplicity or a plain iterable; ``n`` is
-    required only when the collection is empty.
+    required only when the collection is empty and carries no degree.
 
     >>> qsym_of([(1, 2, 3)]).serialize()
     'n=3; F{}'

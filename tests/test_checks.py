@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from schurgrid import checks
 from schurgrid.checks import (
     _REGISTRY,
     CHECK_IDS,
@@ -22,6 +23,7 @@ from schurgrid.checks import (
     run_checks,
     scan_conjecture,
 )
+from schurgrid.permsets import as_multiset, inv_descent_class, product_qsym
 
 SMOKE_N = 3
 KNUTH_WITNESS = (
@@ -213,3 +215,35 @@ def test_other_scans_hold_at_small_degrees():
 def test_grid_resource_error_is_distinct():
     assert issubclass(GridResourceError, Exception)
     assert not issubclass(GridResourceError, ValueError)
+
+
+def _first_noncommuting_pair(n):
+    """The refutation a pair-by-pair loop over the cases of conj-10-3 finds:
+    descent sets outermost, battery sets innermost."""
+    cases = 0
+    for d in checks._dessets(n, n - 1):
+        dclass = inv_descent_class(n, d)
+        for name, bset in checks._battery(n):
+            cases += 1
+            left, right = product_qsym(dclass, bset), product_qsym(bset, dclass)
+            if left != right:
+                witness = f"B={name}, J={d.braces()}: {left.serialize()} != {right.serialize()}"
+                return "refuted", cases, witness
+    return "holds", cases, None
+
+
+def test_batched_conj_10_3_reports_the_first_pairwise_refutation(monkeypatch):
+    battery = checks._battery
+
+    def with_transposition(n):
+        swap = (2, 1, *range(3, n + 1))
+        return [*battery(n), ("swap", as_multiset([swap]))]
+
+    monkeypatch.setattr(checks, "_battery", with_transposition)
+    runner = checks._SCANS["conj-10-3"].runner
+    for n in (3, 4):
+        expected = _first_noncommuting_pair(n)
+        assert expected[0] == "refuted"
+        assert runner(n) == expected
+    record = scan_conjecture("conj-10-3", 4).records[-1]
+    assert (record.verdict, record.cases, record.witness) == _first_noncommuting_pair(3)

@@ -8,6 +8,7 @@ frozen from independent counting formulas.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -61,6 +62,7 @@ from schurgrid.permsets import (
     multiset_product,
     plus_class,
     product_qsym,
+    product_qsym_grid,
     set_product,
     symmetric_group,
     weak_descent_class,
@@ -209,6 +211,7 @@ def test_products_never_reread_array_backed_inputs(monkeypatch):
     monkeypatch.setattr(PermMultiset, "__init__", refuse)
     monkeypatch.setattr(PermMultiset, "elems", property(refuse))
     assert product_qsym(a, b).n == 4
+    assert product_qsym_grid([a, b], [b]).shape == (2, 1, 8)
     assert multiset_product(a, b).total_size() == a.total_size() * b.total_size()
     assert set_product(b, a) == frozenset(symmetric_group(4))
     assert embed(small, 5).support_size() == 1
@@ -249,6 +252,19 @@ def test_char_from_signed_formula_reads_a_multiset():
         )
 
 
+def test_readers_take_the_degree_of_an_empty_multiset():
+    empty = as_multiset([], 3)
+    assert read_collection(empty) == (3, {})
+    assert qsym_of(empty) == empty.qsym() == qsym.QSym.zero(3)
+    assert signed_char_vector(empty) == signed_char_vector([], 3)
+    assert char_from_signed_formula(empty, (2, 1)) == 0
+    for reader in (qsym_of, signed_char_vector):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            reader(empty, 4)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        char_from_signed_formula(empty, (2, 1), 4)
+
+
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -275,6 +291,7 @@ def test_multiset_product_total_size_multiplies():
 @example((as_multiset([], 3), as_multiset(symmetric_group(3))))
 @example((as_multiset(symmetric_group(3)), as_multiset([], 3)))
 @example((PermMultiset.from_mapping(2, {(1, 2): 10**12, (2, 1): 1}),) * 2)
+@example((PermMultiset.from_mapping(2, {(2, 1): 2**64}), as_multiset([], 2)))
 def test_product_qsym_equals_materialized_product(pair):
     a, b = pair
     expected = reference_product(a, b)
@@ -282,6 +299,60 @@ def test_product_qsym_equals_materialized_product(pair):
     assert set_product(a, b) == expected.support()
     assert product_qsym(a, b) == expected.qsym()
     assert product_qsym(a, b) == multiset_product(a, b).qsym()
+
+
+def _grid_case(n):
+    return st.tuples(
+        st.lists(multisets_of(n), max_size=3), st.lists(multisets_of(n), max_size=3)
+    )
+
+
+HUGE = PermMultiset.from_mapping(2, {(1, 2): 2**62, (2, 1): 3})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(_grid_case), st.sampled_from((None, 5)))
+@example(([HUGE, HUGE], [HUGE.scale(5)]), None)
+@example(([as_multiset([], 3), as_multiset(symmetric_group(3))], [as_multiset([], 3)]), None)
+@example(([as_multiset([], 2)], []), None)
+@example(([PermMultiset.from_mapping(2, {(2, 1): 2**64})], [as_multiset([], 2)]), None)
+@example(
+    (
+        [symmetric_group(4), as_multiset([], 4), inversion_ball(4, 2)],
+        [as_multiset(inversion_sphere(4, 3)).scale(7), symmetric_group(4)],
+    ),
+    12,
+)
+def test_product_qsym_grid_matches_reference(case, block):
+    """Every cell equals the pure-Python product's vector, with ``block``
+    (when given) patched in as the block size, so that both sides split."""
+    lefts, rights = ([as_multiset(x) for x in side] for side in case)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(permsets, "_BLOCK", block)
+        grid = product_qsym_grid(lefts, rights)
+    n = next((m.n for m in lefts + rights), 0)
+    assert grid.shape == (len(lefts), len(rights), 1 << max(n - 1, 0))
+    total = sum(a.total_size() for a in lefts) * sum(b.total_size() for b in rights)
+    assert grid.dtype == (np.int64 if total < 2**63 else object)
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            assert tuple(grid[i, j].tolist()) == reference_product(a, b).qsym().coeffs
+
+
+def test_product_qsym_grid_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        product_qsym_grid([as_multiset([(1, 2)])], [as_multiset([(1, 2, 3)])])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        product_qsym_grid([as_multiset([(1, 2)]), as_multiset([(1,)])], [])
+
+
+def test_product_qsym_grid_logs_its_work(caplog):
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    product_qsym_grid([symmetric_group(3), cyclic_class(3)], [symmetric_group(3)])
+    assert [r.getMessage() for r in caplog.records] == [
+        "product_qsym_grid 2 x 1: 54 compositions in 1 blocks"
+    ]
 
 
 def test_product_qsym_edge_cases():
@@ -352,7 +423,7 @@ def test_cycle_type():
 
 
 def test_descent_classes_match_brute_force():
-    for n in range(1, 6):
+    for n in range(1, 7):
         words = list(itertools.permutations(range(1, n + 1)))
         for d in all_dessets(n):
             members = set(d.members)
