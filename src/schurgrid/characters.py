@@ -18,14 +18,11 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .permutations import (
-    DescSet,
     Perm,
     composition_boundary_mask,
-    des_mask,
     is_mu_modal_mask,
-    read_collection,
 )
-from .qsym import SchurExpansion
+from .qsym import QSym, SchurExpansion, qsym_of
 from .tableaux import Partition, conjugate_partition, partitions
 
 __all__ = [
@@ -223,18 +220,19 @@ def char_from_signed_formula(
     >>> char_from_signed_formula([(2, 1, 3), (2, 3, 1)], (2, 1))
     0
     """
-    mu = tuple(mu)
-    degree, counts = read_collection(elems, n)
-    if sum(mu) != degree:
+    return _signed_sum(qsym_of(elems, n), tuple(mu))
+
+
+def _signed_sum(q: QSym, mu: tuple[int, ...]) -> int:
+    """The signed descent sum at ``mu`` of a collection whose descent sets
+    are counted by ``q``."""
+    if sum(mu) != q.n:
         raise ValueError("cycle type size must match the degree")
     boundary = composition_boundary_mask(mu)
     total = 0
-    for word, mult in counts.items():
-        mask = des_mask(word)
-        if not is_mu_modal_mask(mask, degree, mu):
-            continue
-        outside = bin(mask & ~boundary).count("1")
-        total += -mult if outside % 2 else mult
+    for mask, mult in enumerate(q.coeffs):
+        if mult and is_mu_modal_mask(mask, q.n, mu):
+            total += -mult if (mask & ~boundary).bit_count() % 2 else mult
     return total
 
 
@@ -244,8 +242,5 @@ def signed_char_vector(
 ) -> CharacterVector:
     """All signed descent-sum values of a permutation collection, one per
     cycle type (an independent route to its class function)."""
-    degree, counts = read_collection(elems, n)
-    values = tuple(
-        char_from_signed_formula(counts, rho, degree) for rho in partitions(degree)
-    )
-    return CharacterVector(degree, values)
+    q = qsym_of(elems, n)
+    return CharacterVector(q.n, tuple(_signed_sum(q, rho) for rho in partitions(q.n)))

@@ -52,9 +52,9 @@ from .grids import (
 from .permutations import (
     DescSet,
     Perm,
-    compose,
     des_set,
     format_perm,
+    format_words,
     inverse,
     longest_element,
     parse_perm,
@@ -206,8 +206,8 @@ class _CaseLedger:
             self._mismatch = (label, lhs, rhs)
 
     def add_sets(self, label: str, left: PermSet, right: PermSet) -> None:
-        if left == right:
-            text = f"set of {len(left)} sha256:{_digest(sorted(map(format_perm, left)))}"
+        if left.n == right.n and np.array_equal(left.words, right.words):
+            text = f"set of {len(left)} sha256:{_set_digest(left)}"
             self.add(label, text, text)
             return
         only_l = ",".join(format_perm(p) for p in sorted(left - right)[:4])
@@ -242,6 +242,17 @@ def _digest(lines: Iterable[str]) -> str:
         h.update(line.encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _set_digest(s: PermSet) -> str:
+    """``_digest`` of the sorted ``format_perm`` strings of the members.
+    Up to degree 9 a member's string is its digits, so the sorted rows of
+    ``s.words`` are already in string order and their text is hashed
+    whole; from degree 10 the comma strings sort otherwise."""
+    text = format_words(s.words)
+    if s.n <= 9:
+        return hashlib.sha256(text.encode()).hexdigest()
+    return _digest(sorted(text.splitlines()))
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +718,9 @@ def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
         "set" if cl.is_set() else "multiset with repeats",
         "set",
     )
-    led.add_sets("vertical rotations", frozenset(cl.support()), arcs)
+    led.add_sets("vertical rotations", cl.support(), arcs)
     if n >= 4:
-        diff = frozenset(lc.support()) != arcs
+        diff = lc.support() != arcs
         led.add(
             "horizontal rotations differ as a set",
             "differs" if diff else "equal",
@@ -755,7 +766,7 @@ def _run_cor_hrc(led: _CaseLedger, n: int) -> None:
     " expansion by the sign character.",
 )
 def _run_prop_reflections(led: _CaseLedger, n: int) -> None:
-    w0 = longest_element(n)
+    w0 = np.array(longest_element(n))
     for name, m in _fine_matrix_corpus():
         g = enumerate_grid(m, n)
         e = schur_expand(qsym_of(g, n))
@@ -763,15 +774,12 @@ def _run_prop_reflections(led: _CaseLedger, n: int) -> None:
             raise RuntimeError(f"corpus matrix {name} is unexpectedly not fine")
         vclass = enumerate_grid(complement_matrix(m), n)
         hclass = enumerate_grid(reflect_matrix_horizontal(m), n)
+        # compose(p, q) is p[q - 1]: w0 after every member, every member after w0.
         led.add_sets(
-            f"{name} vertical flip set",
-            vclass,
-            frozenset(compose(w0, p) for p in g),
+            f"{name} vertical flip set", vclass, PermSet.from_words(w0[g.words - 1])
         )
         led.add_sets(
-            f"{name} horizontal flip set",
-            hclass,
-            frozenset(compose(p, w0) for p in g),
+            f"{name} horizontal flip set", hclass, PermSet.from_words(g.words[:, w0 - 1])
         )
         twisted = schur_f_vector(sign_twist(e)).serialize()
         led.add(f"{name} vertical flip qsym", qsym_of(vclass, n).serialize(), twisted)

@@ -33,7 +33,7 @@ from .checks import (
     scan_conjecture,
 )
 from .grids import GridResourceError, enumerate_grid, parse_grid_matrix
-from .permutations import format_perm
+from .permutations import format_words
 from .qsym import schur_expand
 from .setexpr import ExprError, evaluate
 
@@ -151,8 +151,7 @@ def _cmd_grid_enum(args: argparse.Namespace) -> int:
     matrix = parse_grid_matrix(args.matrix)
     if args.n < 0:
         raise _UsageError("--n must be >= 0")
-    for word in sorted(enumerate_grid(matrix, args.n)):
-        print(format_perm(word))
+    print(format_words(enumerate_grid(matrix, args.n).words), end="")
     return EXIT_OK
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .permutations import (
     Perm,
+    PermSet,
     cdes_count,
     des_set,
     distinct_words,
@@ -428,13 +429,16 @@ def grid_budget() -> int:
 
 _CHUNK = 1 << 18
 
-_grid_cache: dict[tuple[GridMatrix, int], frozenset[Perm]] = {}
+_grid_cache: dict[tuple[GridMatrix, int], PermSet] = {}
 
 _log = logging.getLogger("schurgrid")
 
 
-def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
-    """All degree-``n`` patterns drawable on the matrix picture.
+def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
+    """All degree-``n`` patterns drawable on the matrix picture, as a
+    :class:`~schurgrid.permutations.PermSet`: the word matrix the route
+    builds, sorted, with no element turned into a tuple.  The result is
+    cached per ``(m, n)``.
 
     >>> sorted(enumerate_grid(zigzag_matrix(1), 3))
     [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
@@ -455,10 +459,8 @@ def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
         oriented = consistent_orientation(work)
         assert oriented is not None, "refined matrix must be orientable"
     cells = work.cells()
-    if n == 0:
-        out = frozenset({()})
-    elif not cells:
-        out = frozenset()
+    if n == 0 or not cells:
+        out = PermSet.from_words(np.empty((int(n == 0), n), np.uint8))
     else:
         total = len(cells) ** n
         if total > grid_budget():
@@ -473,7 +475,7 @@ def enumerate_grid(m: GridMatrix, n: int) -> frozenset[Perm]:
         else:
             route = "gridded-state"
             words, sizes = _enumerate_oriented(work, oriented, n)
-        out = frozenset(map(tuple, words.tolist()))
+        out = PermSet._of_rows(n, words)
         if debug:
             _log.debug(
                 "grid %s n=%d: %s route, refined=%s, states per level %s, "
@@ -488,7 +490,8 @@ def _enumerate_one_column(
     signs: Sequence[int], n: int
 ) -> tuple[np.ndarray, list[int]]:
     """Members of the one-column class with bottom-to-top cell signs
-    ``signs``, as rows of a word matrix, and the row count per level.
+    ``signs``, as the rows of a word matrix in lexicographic order, and
+    the row count per level.
 
     A member's inverse splits into monotone runs, one per cell from the
     bottom.  The values 1..n are inserted in turn, each row keeping its
@@ -516,7 +519,7 @@ def _enumerate_one_column(
         words[new] = j + 1
         words[~new] = old.ravel()
         sizes.append(len(words))
-    return words, sizes
+    return words[np.lexsort(words.T[::-1])], sizes
 
 
 def _enumerate_oriented(
@@ -524,8 +527,9 @@ def _enumerate_oriented(
     oriented: tuple[tuple[int, ...], tuple[int, ...]],
     n: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """Patterns of an oriented matrix with at least one cell, as rows of a
-    word matrix, and the number of distinct states per level.
+    """Patterns of an oriented matrix with at least one cell, as the rows
+    of a word matrix in lexicographic order, and the number of distinct
+    states per level.
 
     Points are added in order of their parameter.  A state is a row
     holding the pattern so far, the points per column and the points per

@@ -12,9 +12,8 @@ for.
 
 from __future__ import annotations
 
-import itertools
 import logging
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Union
 
 import numpy as np
@@ -27,17 +26,17 @@ from .grids import (
     j_matrix,
     k_matrix,
     one_column_matrix,
-    zigzag_member,
 )
 from .permutations import (
     DescSet,
     Perm,
-    cdes_count,
+    PermMultiset,
+    PermSet,
+    _descent_masks,
+    _mult_dtype,
+    _word_dtype,
     distinct_words,
-    identity,
-    inverse,
     read_collection,
-    vertical_rotate,
 )
 from .qsym import QSym
 from .tableaux import (
@@ -83,121 +82,7 @@ __all__ = [
     "BATTERY_FAMILIES",
 ]
 
-PermSet = frozenset[Perm]
-
 CollectionLike = Union["PermMultiset", Mapping[Perm, int], Iterable[Perm]]
-
-
-def _word_dtype(n: int) -> np.dtype:
-    """Letters of degree ``n``, big-endian: a row's bytes sort as its word."""
-    return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
-
-
-def _mult_dtype(total: int) -> type:
-    """``int64`` unless the total reaches 2**63; then Python ints, so no sum
-    of the multiplicities can overflow."""
-    return np.int64 if total < 2**63 else object
-
-
-class PermMultiset(Mapping):
-    """Multiset of degree-``n`` permutations, read as a mapping from word
-    to multiplicity.  ``words`` holds the distinct elements as the rows of
-    a read-only matrix in lexicographic order and ``mults`` their positive
-    multiplicities, so equal multisets compare and hash equal."""
-
-    __slots__ = ("n", "words", "mults", "_elems", "_index")
-
-    def __init__(self, n: int, elems: Iterable[tuple[Perm, int]]) -> None:
-        pairs = tuple(elems)
-        for word, mult in pairs:
-            if len(word) != n:
-                raise ValueError("element degree mismatch")
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-        words = np.array([w for w, _ in pairs], _word_dtype(n)).reshape(len(pairs), n)
-        counts = [m for _, m in pairs]
-        self._fill(n, *distinct_words(words, np.array(counts, _mult_dtype(sum(counts)))))
-
-    def _fill(self, n: int, words: np.ndarray, mults: np.ndarray) -> None:
-        words.flags.writeable = mults.flags.writeable = False
-        self.n, self.words, self.mults = n, words, mults
-        self._elems = self._index = None
-
-    @classmethod
-    def _of(cls, n: int, words: np.ndarray, mults: np.ndarray) -> "PermMultiset":
-        """Wrap distinct sorted rows and multiplicities of the dtypes above."""
-        out = cls.__new__(cls)
-        out._fill(n, words, mults)
-        return out
-
-    @classmethod
-    def from_mapping(cls, n: int, data: Mapping[Perm, int]) -> "PermMultiset":
-        return cls(n, ((w, m) for w, m in data.items() if m))
-
-    @property
-    def elems(self) -> tuple[tuple[Perm, int], ...]:
-        """The sorted ``(word, multiplicity)`` pairs, built on first use."""
-        if self._elems is None:
-            rows = map(tuple, self.words.tolist())
-            self._elems = tuple(zip(rows, self.mults.tolist()))
-        return self._elems
-
-    def __getitem__(self, word: Perm) -> int:
-        if self._index is None:
-            self._index = dict(self.elems)
-        return self._index[tuple(word)]
-
-    def __iter__(self) -> Iterator[Perm]:
-        return (w for w, _ in self.elems)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PermMultiset):
-            return NotImplemented
-        return self.n == other.n and self.elems == other.elems
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.elems))
-
-    def __repr__(self) -> str:
-        return f"PermMultiset({self.n}, {self.elems!r})"
-
-    def support(self) -> PermSet:
-        return _frozen(self.words)
-
-    def multiplicity(self, word: Perm) -> int:
-        return self.get(word, 0)
-
-    def total_size(self) -> int:
-        return int(self.mults.sum())
-
-    def support_size(self) -> int:
-        return len(self.words)
-
-    def is_set(self) -> bool:
-        return bool(np.all(self.mults == 1))
-
-    def scale(self, k: int) -> "PermMultiset":
-        if k <= 0 and len(self.words):
-            raise ValueError("multiplicities must be positive")
-        mults = self.mults.astype(_mult_dtype(self.total_size() * k)) * k
-        return PermMultiset._of(self.n, self.words, mults)
-
-    def __add__(self, other: "PermMultiset") -> "PermMultiset":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        dtype = _mult_dtype(self.total_size() + other.total_size())
-        mults = np.concatenate([self.mults, other.mults]).astype(dtype)
-        words = np.concatenate([self.words, other.words])
-        return PermMultiset._of(self.n, *distinct_words(words, mults))
-
-    def qsym(self) -> QSym:
-        acc = np.zeros(1 << max(self.n - 1, 0), self.mults.dtype)
-        masks = _descent_masks(self.n, self.mults.shape, lambda c: self.words[:, c])
-        np.add.at(acc, masks, self.mults)
-        return QSym(self.n, tuple(acc.tolist()))
 
 
 def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
@@ -259,29 +144,14 @@ def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
 
 
 def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
-    """Support of the product: all compositions ``x after y``."""
+    """Support of the product: all compositions ``x after y``, as the
+    distinct rows of the composed blocks, deduplicated block by block; no
+    element is turned into a tuple."""
     am, bm = as_multiset(a), as_multiset(b)
     words = am.words[:0]
     for block, _ in _compositions(am, bm):
         words, _ = distinct_words(np.concatenate([words, block]))
-    return _frozen(words)
-
-
-def _descent_masks(
-    n: int, shape: tuple[int, ...], letter: Callable[[int], np.ndarray]
-) -> np.ndarray:
-    """Descent masks of an array of degree-``n`` words whose ``c``-th
-    letters are ``letter(c)``: bit ``c - 1`` is set where letter ``c`` is
-    below letter ``c - 1``.  One letter column is held at a time."""
-    dtype = np.min_scalar_type((1 << max(n - 1, 0)) - 1)
-    masks = np.zeros(shape, dtype)
-    prev = None
-    for c in range(n):
-        cur = letter(c)
-        if c:
-            masks |= np.left_shift(cur < prev, c - 1, dtype=dtype)
-        prev = cur
-    return masks
+    return PermSet._of_rows(am.n, words)
 
 
 def _stack(xs: list[PermMultiset], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,18 +256,40 @@ def cycle_type(p: Perm) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _members(n: int, keep: Callable[[Perm], bool]) -> PermSet:
-    """The permutations of degree ``n`` that ``keep`` accepts."""
-    return frozenset(filter(keep, itertools.permutations(range(1, n + 1))))
+def _symmetric_words(n: int) -> np.ndarray:
+    """All words of degree ``n`` in lexicographic order, grown one length
+    at a time: each first letter ``v``, then every shorter word with its
+    letters ``>= v`` raised by one."""
+    words = np.empty((1, 0), _word_dtype(n))
+    for m in range(1, n + 1):
+        heads = np.repeat(np.arange(1, m + 1, dtype=words.dtype), len(words))
+        tails = np.tile(words, (m, 1))
+        tails += tails >= heads[:, None]
+        words = np.column_stack([heads, tails])
+    return words
+
+
+def _inverse_cdes(words: np.ndarray) -> np.ndarray:
+    """Cyclic descents of the inverse of every row (see ``cdes_count``)."""
+    inv = _inverses(words)
+    return (inv > np.roll(inv, -1, axis=1)).sum(axis=1)
+
+
+def _inversion_counts(words: np.ndarray) -> np.ndarray:
+    """Pairs of positions ``i < j`` with ``w_i > w_j``, per row."""
+    counts = np.zeros(len(words), np.int64)
+    for i in range(words.shape[1] - 1):
+        counts += (words[:, i, None] > words[:, i + 1 :]).sum(axis=1)
+    return counts
 
 
 def symmetric_group(n: int) -> PermSet:
-    return frozenset(itertools.permutations(range(1, n + 1)))
+    return PermSet._of_rows(n, _symmetric_words(n))
 
 
 def cyclic_class(n: int) -> PermSet:
     """All vertical rotations of the identity (n elements)."""
-    return frozenset(vertical_rotate(identity(n), k) for k in range(n))
+    return PermSet.from_words((np.add.outer(np.arange(n), np.arange(n)) % n) + 1)
 
 
 def left_unimodal_class(n: int) -> PermSet:
@@ -420,10 +312,14 @@ def one_column_class(v: SignVector, n: int) -> PermSet:
 
 
 def zigzag_class(n: int, k: int) -> PermSet:
-    """Inverse cyclic-descent ball (the 2k-row two-column grid class);
-    built from the membership predicate, which the check suite verifies
-    against the geometric enumeration."""
-    return _members(n, lambda p: zigzag_member(p, k))
+    """Inverse cyclic-descent ball (the 2k-row two-column grid class):
+    the words whose inverse has at most ``k`` cyclic descents, counted
+    over all of S_n, which the check suite verifies against the geometric
+    enumeration."""
+    if k < 1:
+        raise ValueError("parameter must be >= 1")
+    words = _symmetric_words(n)
+    return PermSet._of_rows(n, words[_inverse_cdes(words) <= k])
 
 
 def plus_class(n: int, k: int) -> PermSet:
@@ -468,43 +364,48 @@ def _inverses(words: np.ndarray) -> np.ndarray:
     return (np.argsort(words, axis=1) + 1).astype(words.dtype)
 
 
-def _frozen(words: np.ndarray) -> PermSet:
-    return frozenset(map(tuple, words.tolist()))
-
-
 def weak_descent_class(n: int, d: DescSet) -> PermSet:
     """All words whose descent set is contained in ``d``: concatenations
     of increasing blocks, one choice of value set per block."""
-    return _frozen(_weak_descent_words(n, d))
+    return PermSet.from_words(_weak_descent_words(n, d))
 
 
 def descent_class(n: int, d: DescSet) -> PermSet:
     """All words whose descent set is exactly ``d``."""
-    return _frozen(_descent_words(n, d))
+    return PermSet.from_words(_descent_words(n, d))
 
 
 def inv_descent_class(n: int, d: DescSet) -> PermSet:
-    return _frozen(_inverses(_descent_words(n, d)))
+    return PermSet.from_words(_inverses(_descent_words(n, d)))
 
 
 def inv_weak_descent_class(n: int, d: DescSet) -> PermSet:
-    return _frozen(_inverses(_weak_descent_words(n, d)))
+    return PermSet.from_words(_inverses(_weak_descent_words(n, d)))
 
 
 def knuth_class(p: Perm) -> PermSet:
     """All words with the same insertion tableau as ``p``."""
-    return frozenset(knuth_class_words(insertion_tableau(p)))
+    return PermSet.from_words(np.array(knuth_class_words(insertion_tableau(p)), ndmin=2))
 
 
 def conjugacy_class(n: int, rho: Sequence[int]) -> PermSet:
     rho = tuple(sorted(rho, reverse=True))
     if sum(rho) != n:
         raise ValueError("cycle type size mismatch")
-    return _members(n, lambda p: cycle_type(p) == rho)
-
-
-def _inversions(p: Perm) -> int:
-    return sum(a > b for a, b in itertools.combinations(p, 2))
+    words = _symmetric_words(n)
+    # orbit[r, i]: the least t >= 1 with words[r]^t fixing i, the length of
+    # the cycle through i; a cycle type has L * (its parts equal to L)
+    # positions on cycles of length L.
+    steps = words - 1
+    orbit = np.zeros(words.shape, words.dtype)
+    cur = np.broadcast_to(np.arange(n), words.shape)
+    for t in range(1, n + 1):
+        cur = np.take_along_axis(steps, cur, axis=1)
+        orbit[(cur == np.arange(n)) & (orbit == 0)] = t
+    keep = np.ones(len(words), bool)
+    for length in range(1, n + 1):
+        keep &= (orbit == length).sum(axis=1) == length * rho.count(length)
+    return PermSet._of_rows(n, words[keep])
 
 
 def inversion_sphere(n: int, k: int) -> PermSet:
@@ -513,17 +414,20 @@ def inversion_sphere(n: int, k: int) -> PermSet:
     >>> sorted(inversion_sphere(3, 1))
     [(1, 3, 2), (2, 1, 3)]
     """
-    return _members(n, lambda p: _inversions(p) == k)
+    words = _symmetric_words(n)
+    return PermSet._of_rows(n, words[_inversion_counts(words) == k])
 
 
 def inversion_ball(n: int, k: int) -> PermSet:
     """All words with at most ``k`` inversions."""
-    return _members(n, lambda p: _inversions(p) <= k)
+    words = _symmetric_words(n)
+    return PermSet._of_rows(n, words[_inversion_counts(words) <= k])
 
 
 def cdes_inverse_class(n: int, k: int) -> PermSet:
     """All words whose inverse has exactly ``k`` cyclic descents."""
-    return _members(n, lambda p: cdes_count(inverse(p)) == k)
+    words = _symmetric_words(n)
+    return PermSet._of_rows(n, words[_inverse_cdes(words) == k])
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +444,10 @@ def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
             for mu in partitions(n)
             for t in enumerate_syt(straight_shape(mu))
         ]
-        return [(f"knuth[{''.join(map(str, w[0]))}]", frozenset(w)) for w in words]
+        return [
+            (f"knuth[{''.join(map(str, w[0]))}]", PermSet.from_words(np.array(w)))
+            for w in words
+        ]
     if fam == "conj":
         return [
             ("conj[" + ",".join(map(str, rho)) + "]", conjugacy_class(n, rho))

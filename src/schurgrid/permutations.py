@@ -15,12 +15,16 @@ descent position).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .qsym import QSym
 
 __all__ = [
     "Perm",
@@ -55,6 +59,9 @@ __all__ = [
     "shuffles",
     "read_collection",
     "distinct_words",
+    "format_words",
+    "PermMultiset",
+    "PermSet",
 ]
 
 # One-line notation: word[i] is the image of position i+1.
@@ -525,3 +532,196 @@ def distinct_words(
         sums = np.zeros(len(unique), weights.dtype)
         np.add.at(sums, where, weights)
     return np.frombuffer(unique, words.dtype).reshape(len(unique), n), sums
+
+
+def format_words(words: np.ndarray) -> str:
+    """:func:`format_perm` of every row of a word matrix, one line each, in
+    row order.  Up to degree 9 a row is its letters as ASCII digits, so the
+    whole text is written by one array operation.
+
+    >>> print(format_words(np.array([[3, 1, 2], [1, 2, 3]], np.uint8)), end="")
+    312
+    123
+    """
+    k, n = words.shape
+    if n > 9:
+        return "".join(f"{format_perm(row)}\n" for row in words.tolist())
+    text = np.full((k, n + 1), ord("\n"), np.uint8)
+    text[:, :n] = words
+    text[:, :n] += ord("0")
+    return text.tobytes().decode("ascii")
+
+
+def _word_dtype(n: int) -> np.dtype:
+    """Letters of degree ``n``, big-endian: a row's bytes sort as its word."""
+    return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
+
+
+def _mult_dtype(total: int) -> type:
+    """``int64`` unless the total reaches 2**63; then Python ints, so no sum
+    of the multiplicities can overflow."""
+    return np.int64 if total < 2**63 else object
+
+
+def _descent_masks(
+    n: int, shape: tuple[int, ...], letter: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Descent masks of an array of degree-``n`` words whose ``c``-th
+    letters are ``letter(c)``: bit ``c - 1`` is set where letter ``c`` is
+    below letter ``c - 1``.  One letter column is held at a time."""
+    dtype = np.min_scalar_type((1 << max(n - 1, 0)) - 1)
+    masks = np.zeros(shape, dtype)
+    prev = None
+    for c in range(n):
+        cur = letter(c)
+        if c:
+            masks |= np.left_shift(cur < prev, c - 1, dtype=dtype)
+        prev = cur
+    return masks
+
+
+class PermMultiset(Mapping):
+    """Multiset of degree-``n`` permutations, read as a mapping from word
+    to multiplicity.  ``words`` holds the distinct elements as the rows of
+    a read-only matrix in lexicographic order and ``mults`` their positive
+    multiplicities, so equal multisets compare and hash equal."""
+
+    __slots__ = ("n", "words", "mults", "_elems", "_index")
+
+    def __init__(self, n: int, elems: Iterable[tuple[Perm, int]]) -> None:
+        pairs = tuple(elems)
+        for word, mult in pairs:
+            if len(word) != n:
+                raise ValueError("element degree mismatch")
+            if mult <= 0:
+                raise ValueError("multiplicities must be positive")
+        words = np.array([w for w, _ in pairs], _word_dtype(n)).reshape(len(pairs), n)
+        counts = [m for _, m in pairs]
+        self._fill(n, *distinct_words(words, np.array(counts, _mult_dtype(sum(counts)))))
+
+    def _fill(self, n: int, words: np.ndarray, mults: np.ndarray) -> None:
+        words.flags.writeable = mults.flags.writeable = False
+        self.n, self.words, self.mults = n, words, mults
+        self._elems = self._index = None
+
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray, mults: np.ndarray) -> "PermMultiset":
+        """Wrap distinct sorted rows and multiplicities of the dtypes above."""
+        out = cls.__new__(cls)
+        out._fill(n, words, mults)
+        return out
+
+    @classmethod
+    def from_mapping(cls, n: int, data: Mapping[Perm, int]) -> "PermMultiset":
+        return cls(n, ((w, m) for w, m in data.items() if m))
+
+    @property
+    def elems(self) -> tuple[tuple[Perm, int], ...]:
+        """The sorted ``(word, multiplicity)`` pairs, built on first use."""
+        if self._elems is None:
+            self._elems = tuple(zip(self, self.mults.tolist()))
+        return self._elems
+
+    def __getitem__(self, word: Perm) -> int:
+        if self._index is None:
+            self._index = dict(self.elems)
+        return self._index[tuple(word)]
+
+    def __iter__(self) -> Iterator[Perm]:
+        return map(tuple, self.words.tolist())
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermMultiset):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.words, other.words)
+            and np.array_equal(self.mults, other.mults)
+        )
+
+    def __hash__(self) -> int:
+        # A set hashes as the frozenset of its words, which a PermSet equals.
+        return Set._hash(self) if self.is_set() else hash((self.n, self.elems))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.elems!r})"
+
+    def support(self) -> "PermSet":
+        return PermSet._of_rows(self.n, self.words)
+
+    def multiplicity(self, word: Perm) -> int:
+        return self.get(word, 0)
+
+    def total_size(self) -> int:
+        return int(self.mults.sum())
+
+    def support_size(self) -> int:
+        return len(self.words)
+
+    def is_set(self) -> bool:
+        return bool(np.all(self.mults == 1))
+
+    def scale(self, k: int) -> "PermMultiset":
+        if k <= 0 and len(self.words):
+            raise ValueError("multiplicities must be positive")
+        mults = self.mults.astype(_mult_dtype(self.total_size() * k)) * k
+        return PermMultiset._of(self.n, self.words, mults)
+
+    def __add__(self, other: "PermMultiset") -> "PermMultiset":
+        if self.n != other.n:
+            raise ValueError("degree mismatch")
+        dtype = _mult_dtype(self.total_size() + other.total_size())
+        mults = np.concatenate([self.mults, other.mults]).astype(dtype)
+        words = np.concatenate([self.words, other.words])
+        return PermMultiset._of(self.n, *distinct_words(words, mults))
+
+    def qsym(self) -> "QSym":
+        from .qsym import qsym_of  # qsym imports this module
+
+        return qsym_of(self)
+
+
+class PermSet(PermMultiset, Set):
+    """Set of degree-``n`` permutations: a :class:`PermMultiset` whose
+    multiplicities are all 1, which is also a ``collections.abc.Set``.  It
+    equals, and hashes as, the frozenset of its words.  ``|`` of two sets
+    of one degree stays on the word matrices; the other set operations
+    return frozensets.
+
+    >>> s = PermSet.from_words(np.array([[2, 1], [1, 2], [2, 1]]))
+    >>> s == {(1, 2), (2, 1)}, (2, 1) in s, s - {(1, 2)}
+    (True, True, frozenset({(2, 1)}))
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_words(cls, words: np.ndarray) -> "PermSet":
+        """The set of the rows of a (k, n) word matrix."""
+        n = words.shape[1]
+        return cls._of_rows(n, distinct_words(words.astype(_word_dtype(n), copy=False))[0])
+
+    @classmethod
+    def _of_rows(cls, n: int, rows: np.ndarray) -> "PermSet":
+        """Wrap distinct rows in lexicographic order."""
+        rows = rows.astype(_word_dtype(n), copy=False)
+        return cls._of(n, rows, np.ones(len(rows), np.int64))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Perm]) -> frozenset[Perm]:
+        return frozenset(it)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PermMultiset):
+            return PermMultiset.__eq__(self, other)
+        return Set.__eq__(self, other)
+
+    __hash__ = PermMultiset.__hash__
+
+    def __or__(self, other: object) -> "PermSet | frozenset[Perm]":
+        if isinstance(other, PermSet) and other.n == self.n:
+            return PermSet.from_words(np.concatenate([self.words, other.words]))
+        return Set.__or__(self, other)

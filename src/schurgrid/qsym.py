@@ -31,10 +31,14 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .permutations import (
     Composition,
     DescSet,
     Perm,
+    PermMultiset,
+    _descent_masks,
     composition_boundary_mask,
     des_mask,
     read_collection,
@@ -68,6 +72,7 @@ def _width(n: int) -> int:
     return 1 << max(n - 1, 0)
 
 
+@lru_cache(maxsize=1 << 16)
 def _mask_braces(mask: int) -> str:
     """``DescSet(n, mask).braces()``, read straight off the bits without
     building the set."""
@@ -220,17 +225,23 @@ def qsym_of(
 ) -> QSym:
     """Descent generating function of a (multi)set of permutations.
 
-    Accepts a mapping word -> multiplicity or a plain iterable; ``n`` is
-    required only when the collection is empty and carries no degree.
+    Accepts a :class:`~schurgrid.permutations.PermMultiset` (a
+    ``PermSet`` is one), a mapping word -> multiplicity or a plain
+    iterable; ``n`` is required only when the collection is empty and
+    carries no degree.  The descent masks of all words are computed over
+    the word matrix at once and folded by one ``np.add.at``.
 
     >>> qsym_of([(1, 2, 3)]).serialize()
     'n=3; F{}'
     """
-    degree, counts = read_collection(elems, n)
-    v = [0] * _width(degree)
-    for word, mult in counts.items():
-        v[des_mask(word)] += mult
-    return QSym(degree, tuple(v))
+    if not isinstance(elems, PermMultiset):
+        elems = PermMultiset.from_mapping(*read_collection(elems, n))
+    elif n is not None and n != elems.n:
+        raise ValueError(f"degree mismatch: elements have degree {elems.n}")
+    words, mults = elems.words, elems.mults
+    acc = np.zeros(_width(elems.n), mults.dtype)
+    np.add.at(acc, _descent_masks(elems.n, mults.shape, lambda c: words[:, c]), mults)
+    return QSym(elems.n, tuple(acc.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +280,7 @@ def _fundamental_pair_product(
     realized by shuffling canonical representatives on disjoint alphabets."""
     rep_a = descent_class_representative(na, mask_a)
     rep_b = tuple(v + na for v in descent_class_representative(nb, mask_b))
-    v = [0] * _width(na + nb)
-    for word in shuffle_words(rep_a, rep_b):
-        v[des_mask(word)] += 1
-    return tuple(v)
+    return qsym_of(shuffle_words(rep_a, rep_b)).coeffs
 
 
 def qsym_mul(a: QSym, b: QSym) -> QSym:

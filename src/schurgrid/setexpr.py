@@ -22,7 +22,6 @@ from .permutations import DescSet, format_perm, parse_perm
 from .permsets import (
     PermMultiset,
     arc_class,
-    as_multiset,
     cdes_inverse_class,
     colayered_class,
     conjugacy_class,
@@ -168,28 +167,24 @@ class _Parser:
         self.expect_punct(",")
 
 
-def _wrap(values, n: int | None = None) -> PermMultiset:
-    return as_multiset(values, n)
-
-
 def _build_degree_set(
-    fn: Callable[[int], object]
+    fn: Callable[[int], PermMultiset]
 ) -> Callable[[_Parser], PermMultiset]:
     def build(p: _Parser) -> PermMultiset:
         n = p.number()
-        return _wrap(fn(n), n)
+        return fn(n)
 
     return build
 
 
 def _build_descents(
-    fn: Callable[[int, DescSet], object]
+    fn: Callable[[int, DescSet], PermMultiset]
 ) -> Callable[[_Parser], PermMultiset]:
     def build(p: _Parser) -> PermMultiset:
         n = p.number()
         p.comma()
         members = p.braced_set()
-        return _wrap(fn(n, DescSet.of(n, members)), n)
+        return fn(n, DescSet.of(n, members))
 
     return build
 
@@ -198,26 +193,26 @@ def _build_colayer(p: _Parser) -> PermMultiset:
     k = p.number()
     p.comma()
     n = p.number()
-    return _wrap(colayered_class(n, k), n)
+    return colayered_class(n, k)
 
 
 def _build_onecol(p: _Parser) -> PermMultiset:
     signs = parse_sign_vector(p.string())
     p.comma()
     n = p.number()
-    return _wrap(one_column_class(signs, n), n)
+    return one_column_class(signs, n)
 
 
 def _build_grid(p: _Parser) -> PermMultiset:
     matrix = parse_grid_matrix(p.string())
     p.comma()
     n = p.number()
-    return _wrap(enumerate_grid(matrix, n), n)
+    return enumerate_grid(matrix, n)
 
 
 def _build_knuth(p: _Parser) -> PermMultiset:
     word = parse_perm(p.string())
-    return _wrap(knuth_class(word), len(word))
+    return knuth_class(word)
 
 
 def _build_conj(p: _Parser) -> PermMultiset:
@@ -230,17 +225,17 @@ def _build_conj(p: _Parser) -> PermMultiset:
     n = p.number()
     if sum(parts) != n:
         raise ValueError(f"cycle type {parts_text!r} does not sum to {n}")
-    return _wrap(conjugacy_class(n, parts), n)
+    return conjugacy_class(n, parts)
 
 
 def _build_pair_int(
-    fn: Callable[[int, int], object]
+    fn: Callable[[int, int], PermMultiset]
 ) -> Callable[[_Parser], PermMultiset]:
     def build(p: _Parser) -> PermMultiset:
         n = p.number()
         p.comma()
         k = p.number()
-        return _wrap(fn(n, k), n)
+        return fn(n, k)
 
     return build
 
@@ -263,7 +258,7 @@ def _build_setprod(p: _Parser) -> PermMultiset:
     a = p.expr()
     p.comma()
     b = p.expr()
-    return _wrap(set_product(a, b), a.n)
+    return set_product(a, b)
 
 
 def _build_inv(p: _Parser) -> PermMultiset:
@@ -276,7 +271,7 @@ def _build_union(p: _Parser) -> PermMultiset:
     b = p.expr()
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} vs {b.n}")
-    return _wrap(a.support() | b.support(), a.n)
+    return a.support() | b.support()
 
 
 _BUILDERS: dict[str, Callable[[_Parser], PermMultiset]] = {

@@ -199,12 +199,14 @@ def ribbon_shape(n: int, j: DescSet) -> SkewShape:
     return SkewShape(tuple(outer), tuple(inner))
 
 
+@lru_cache(maxsize=1 << 12)
 def strip_chain_shape(n: int, j: DescSet) -> SkewShape:
     """Corner-touching horizontal strips, left to right, of sizes
     ``j_1, j_2-j_1, ..., n-1-j_t, 1`` for ``j = {j_1 < ... < j_t}``; the
     rightmost strip is the single top cell.
 
-    Members of ``j`` must lie in ``[n-2]``.
+    Members of ``j`` must lie in ``[n-2]``.  Cached per ``(n, j)``, as
+    :func:`rotation_bijection` asks for it once per permutation.
 
     >>> strip_chain_shape(5, DescSet.of(5, []))
     SkewShape(outer=(5, 4), inner=(4,))
