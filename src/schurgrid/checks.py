@@ -51,8 +51,8 @@ from .grids import (
 )
 from .permutations import (
     DescSet,
-    Perm,
     des_set,
+    distinct_words,
     format_perm,
     format_words,
     inverse,
@@ -96,12 +96,16 @@ from .qsym import (
     skew_schur_f_vector,
 )
 from .tableaux import (
+    SkewShape,
     enumerate_syt,
     is_partition,
+    knuth_classes,
+    partitions,
     ribbon_shape,
     rotation_bijection,
     strip_chain_shape,
     syt_des,
+    syt_row_words,
 )
 
 __all__ = [
@@ -282,8 +286,6 @@ def _involutions(n: int) -> int:
 
 
 def _battery_count(n: int) -> int:
-    from .tableaux import partitions
-
     return (
         _involutions(n)
         + len(partitions(n))
@@ -597,6 +599,77 @@ def _run_arc_formula(led: _CaseLedger, n: int) -> None:
     )
 
 
+def _rotation_images(
+    words: np.ndarray, j: DescSet, shape: SkewShape
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rotation_bijection`` on every row at once: whether ``p = sigma o
+    c**k`` (``k`` the position of ``n``, mod ``n``) decomposes over ``j``,
+    and the row word of the image, whose column ``c`` holds ``sigma^-1[c] +
+    k`` (mod ``n``) in the row of that column."""
+    m, n = words.shape
+    p, states = words.astype(np.intp) - 1, np.arange(m)[:, None]
+    k = (np.argmax(p == n - 1, axis=1) + 1) % n
+    sigma = np.take_along_axis(p, (np.arange(n) + k[:, None]) % n, axis=1)
+    sigma_inv = np.argsort(sigma, axis=1)
+    decomposes = (sigma[:, -1] == n - 1) & (_desc_masks(sigma_inv) & ~j.mask == 0)
+    column_row = [r for r, _ in sorted(shape.cells(), key=lambda cell: cell[1])]
+    images = np.empty((m, n), np.uint8)
+    images[states, (sigma_inv + k[:, None]) % n] = column_row
+    return decomposes, images
+
+
+def _desc_masks(words: np.ndarray) -> np.ndarray:
+    """Descent mask of every row of a word matrix."""
+    falls = np.diff(words.astype(np.intp), axis=1) < 0
+    return falls @ (1 << np.arange(words.shape[1] - 1))
+
+
+def _rotation_audit_holds(words: np.ndarray, j: DescSet, shape: SkewShape) -> bool:
+    """The audit of :func:`_first_rotation_fault` on the whole word matrix:
+    images from the permutations, tableaux from the shape.  A row word's
+    descents are the rises of its rows; row 1 is the top corner alone."""
+    n = words.shape[1]
+    if shape != strip_chain_shape(n, j):
+        return False
+    decomposes, images = _rotation_images(words, j, shape)
+    unique, tableaux = distinct_words(images)[0], syt_row_words(shape)
+    return bool(
+        decomposes.all()
+        and np.array_equal(_desc_masks(-images.astype(np.intp)), _desc_masks(words))
+        and np.array_equal(np.argmax(images == 1, axis=1), np.argmax(words == n, axis=1))
+        and len(unique) == len(words)
+        and np.array_equal(unique, tableaux[np.lexsort(tableaux.T[::-1])])
+    )
+
+
+def _first_rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | None:
+    """The first row of ``words`` on which ``rotation_bijection`` is not a
+    descent-preserving, corner-tracking injection into the tableaux of
+    ``shape``, or the tableaux it misses, or None; one call per row."""
+    n = words.shape[1]
+    images: set = set()
+    for p in map(tuple, words.tolist()):
+        try:
+            t = rotation_bijection(p, j)
+        except ValueError as exc:
+            return f"{format_perm(p)}: map undefined ({exc})"
+        if t.shape != shape:
+            return f"{format_perm(p)}: image has wrong shape"
+        if syt_des(t) != des_set(p):
+            return f"{format_perm(p)}: descent set not preserved"
+        if t.entry_at(1, n) != inverse(p)[n - 1]:
+            return f"{format_perm(p)}: top corner is not the position of {n}"
+        if t in images:
+            return f"{format_perm(p)}: image repeated (not injective)"
+        images.add(t)
+    if images != (tableaux := set(enumerate_syt(shape))):
+        return (
+            f"image misses {len(tableaux) - len(images)} of "
+            f"{len(tableaux)} tableaux (not surjective)"
+        )
+    return None
+
+
 @_check(
     "thm-horizontal1", 7, 2, lambda n: 4 * _fact(n) + n * _fubini(n - 1),
     "Horizontal rotations of an inverse-descent class: set structure,"
@@ -616,32 +689,9 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
             "sets",
         )
         audit = "bijective, descent-preserving, corner-tracking"
-        images: set = set()
-        problem = None
-        for p in sorted(weak.support()):
-            try:
-                t = rotation_bijection(p, dn)
-            except ValueError as exc:
-                problem = f"{format_perm(p)}: map undefined ({exc})"
-                break
-            if t.shape != shape:
-                problem = f"{format_perm(p)}: image has wrong shape"
-                break
-            if syt_des(t) != des_set(p):
-                problem = f"{format_perm(p)}: descent set not preserved"
-                break
-            if t.entry_at(1, n) != inverse(p)[n - 1]:
-                problem = f"{format_perm(p)}: top corner is not the position of {n}"
-                break
-            if t in images:
-                problem = f"{format_perm(p)}: image repeated (not injective)"
-                break
-            images.add(t)
-        if problem is None and images != (tableaux := set(enumerate_syt(shape))):
-            problem = (
-                f"image misses {len(tableaux) - len(images)} of "
-                f"{len(tableaux)} tableaux (not surjective)"
-            )
+        # The loop runs only to name a fault that the array audit found.
+        holds = _rotation_audit_holds(weak.words, dn, shape)
+        problem = None if holds else _first_rotation_fault(weak.words, dn, shape)
         led.add(f"J={d.braces()} bijection audit", problem or audit, audit)
         led.add(
             f"J={d.braces()} strip chain tableaux",
@@ -1261,11 +1311,10 @@ def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     battery = _battery(n)
     dessets = _dessets(n, n - 1)
     dclasses = [as_multiset(inv_descent_class(n, d), n) for d in dessets]
-    commute = np.empty((len(dessets), len(battery)), bool)
-    for b, (_, bset) in enumerate(battery):
-        left = product_qsym_grid(dclasses, [bset])[:, 0]
-        right = product_qsym_grid([bset], dclasses)[0]
-        commute[:, b] = (left == right).all(axis=1)
+    bsets = [bset for _, bset in battery]
+    left = product_qsym_grid(dclasses, bsets)
+    right = product_qsym_grid(bsets, dclasses)
+    commute = (left == right.transpose(1, 0, 2)).all(axis=2)
     # Cases run d-major, so the first failing pair is the first in ravel order.
     failing = np.flatnonzero(~commute)
     if not len(failing):
@@ -1288,39 +1337,25 @@ def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     " character product of their shapes.",
 )
 def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
-    from .tableaux import insertion_tableau
-
-    classes: dict[object, list[Perm]] = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        classes.setdefault(insertion_tableau(p), []).append(p)
-    items = [
-        (t, words, as_multiset(words, n))
-        for t, words in sorted(classes.items(), key=lambda kv: min(kv[1]))
-    ]
-    bms = [bm for _, _, bm in items]
+    # The plactic classes with their shapes, in order of their least words.
+    items = sorted(
+        ((next(iter(c)), mu, c) for mu in partitions(n) for c in knuth_classes(mu)),
+        key=lambda item: item[0],
+    )
+    classes = [c for _, _, c in items]
     cases = 0
-    for ta, aa, am in items:
-        ea = SchurExpansion.single(ta.shape.outer)
-        products = _qsyms(n, product_qsym_grid([am], bms)[0])
-        for (tb, bb, _), product in zip(items, products):
+    for least_a, mu, a in items:
+        ea = SchurExpansion.single(mu)
+        products = _qsyms(n, product_qsym_grid([a], classes)[0])
+        for (least_b, nu, _), product in zip(items, products):
             cases += 1
-            expected = kronecker(ea, SchurExpansion.single(tb.shape.outer))
+            expected = kronecker(ea, SchurExpansion.single(nu))
             got = schur_expand(product)
+            pair = f"A=class of {format_perm(least_a)}, B=class of {format_perm(least_b)}"
             if isinstance(got, NotSymmetric):
-                return (
-                    "refuted",
-                    cases,
-                    f"A=class of {format_perm(min(aa))}, "
-                    f"B=class of {format_perm(min(bb))}: {got.serialize()}",
-                )
+                return "refuted", cases, f"{pair}: {got.serialize()}"
             if got != expected:
-                return (
-                    "refuted",
-                    cases,
-                    f"A=class of {format_perm(min(aa))}, "
-                    f"B=class of {format_perm(min(bb))}: {got.serialize()} != "
-                    f"{expected.serialize()}",
-                )
+                return "refuted", cases, f"{pair}: {got.serialize()} != {expected.serialize()}"
     return "holds", cases, None
 
 

@@ -422,7 +422,9 @@ def grid_budget() -> int:
     of the degree) one enumeration may ask for, set with the
     SCHURGRID_GRID_BUDGET environment variable.  The gate still compares
     that count of parameter words with the budget, although neither route
-    visits the words themselves."""
+    visits the words themselves.  The same budget caps the ``n! * n``
+    letters of the symmetric group that the array-built families start
+    from: the default admits ``n <= 10`` and refuses ``n = 11``."""
     env = os.environ.get("SCHURGRID_GRID_BUDGET")
     return int(env) if env else 100_000_000
 

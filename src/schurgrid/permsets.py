@@ -13,15 +13,18 @@ for.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Union
 
 import numpy as np
 
 from .grids import (
+    GridResourceError,
     SignVector,
     arc_matrices,
     enumerate_grid,
+    grid_budget,
     identity_matrix,
     j_matrix,
     k_matrix,
@@ -41,11 +44,10 @@ from .permutations import (
 from .qsym import QSym
 from .tableaux import (
     Partition,
-    enumerate_syt,
     insertion_tableau,
     knuth_class_words,
+    knuth_classes,
     partitions,
-    straight_shape,
 )
 
 __all__ = [
@@ -173,10 +175,11 @@ def product_qsym_grid(
     holds the coefficients of ``product_qsym(lefts[i], rights[j])``; its
     dtype is ``int64``, or ``object`` once ``sum(total(lefts)) *
     sum(total(rights))`` reaches 2**63.  All members are stacked into one
-    word matrix per side and composed in blocks of about ``_BLOCK`` cells;
-    each composition is folded at key ``(i * len(rights) + j) * 2**(n-1) +
-    descent mask`` by one ``np.add.at`` per block, so no product is
-    materialized.  With no members at all the degree is unknown and the
+    word matrix per side and composed in blocks of ``_BLOCK // 64``
+    compositions (an ``int64`` key and weight and a descent mask each, about
+    a third of ``_BLOCK`` bytes); each composition is folded at key ``(i *
+    len(rights) + j) * 2**(n-1) + descent mask`` by one ``np.add.at`` per
+    block, so no product is materialized.  With no members at all the degree is unknown and the
     last axis has length 1.
     """
     ls, rs = [as_multiset(a) for a in lefts], [as_multiset(b) for b in rights]
@@ -188,7 +191,7 @@ def product_qsym_grid(
     dtype = _mult_dtype(total)
     acc = np.zeros(len(ls) * len(rs) * width, dtype)
     lbase, rbase, y = lid * (len(rs) * width), rid * width, y - 1
-    rows = max(1, _BLOCK // max(n, 1))
+    rows = max(1, _BLOCK // 64)
     blocks = 0
     # With no right rows the total is 0 and left weights may not fit dtype.
     for i in range(0, len(x) if len(y) else 0, rows):
@@ -259,7 +262,14 @@ def cycle_type(p: Perm) -> Partition:
 def _symmetric_words(n: int) -> np.ndarray:
     """All words of degree ``n`` in lexicographic order, grown one length
     at a time: each first letter ``v``, then every shorter word with its
-    letters ``>= v`` raised by one."""
+    letters ``>= v`` raised by one.  Refused before anything is allocated
+    when its ``n! * n`` letters exceed :func:`~schurgrid.grids.grid_budget`."""
+    letters = math.factorial(n) * n
+    if letters > grid_budget():
+        raise GridResourceError(
+            f"S_{n} needs {letters} letters (budget {grid_budget()}); "
+            "raise SCHURGRID_GRID_BUDGET"
+        )
     words = np.empty((1, 0), _word_dtype(n))
     for m in range(1, n + 1):
         heads = np.repeat(np.arange(1, m + 1, dtype=words.dtype), len(words))
@@ -385,7 +395,7 @@ def inv_weak_descent_class(n: int, d: DescSet) -> PermSet:
 
 def knuth_class(p: Perm) -> PermSet:
     """All words with the same insertion tableau as ``p``."""
-    return PermSet.from_words(np.array(knuth_class_words(insertion_tableau(p)), ndmin=2))
+    return knuth_class_words(insertion_tableau(p))
 
 
 def conjugacy_class(n: int, rho: Sequence[int]) -> PermSet:
@@ -439,14 +449,10 @@ BATTERY_FAMILIES = ("knuth", "conj", "invfix", "Dinv", "colayer")
 
 def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
     if fam == "knuth":
-        words = [
-            knuth_class_words(t)
-            for mu in partitions(n)
-            for t in enumerate_syt(straight_shape(mu))
-        ]
         return [
-            (f"knuth[{''.join(map(str, w[0]))}]", PermSet.from_words(np.array(w)))
-            for w in words
+            (f"knuth[{''.join(map(str, c.words[0].tolist()))}]", c)
+            for mu in partitions(n)
+            for c in knuth_classes(mu)
         ]
     if fam == "conj":
         return [

@@ -638,20 +638,13 @@ class DescentCountTable:
         """``kostka[i][j]`` = K_{mu lambda}, the number of semistandard
         tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
         ``j``-th partitions of ``n``: the sum of the ``mu`` column over the
-        subsets of the partial sums of ``lambda``."""
+        subsets of the partial sums of ``lambda``, as one integer matrix
+        product (an entry is at most ``n!``, so ``int64`` is exact)."""
         parts = partitions(self.n)
-        subsets = []
-        for lam in parts:
-            mask = sub = composition_boundary_mask(lam)
-            subs = [sub]
-            while sub:
-                sub = (sub - 1) & mask
-                subs.append(sub)
-            subsets.append(subs)
-        return tuple(
-            tuple(sum(self.counts[mu][t] for t in subs) for subs in subsets)
-            for mu in parts
-        )
+        counts = np.array([self.counts[mu] for mu in parts], np.int64)
+        bounds = np.array([composition_boundary_mask(lam) for lam in parts])
+        subsets = np.arange(counts.shape[1])[:, None] & ~bounds == 0
+        return tuple(map(tuple, (counts @ subsets.astype(np.int64)).tolist()))
 
 
 def cache_dir() -> Path:

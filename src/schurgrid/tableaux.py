@@ -15,23 +15,31 @@ cover everything the package needs:
 (3, 1, 2, 2, 1)
 >>> strip_chain_shape(5, DescSet.of(5, [1]))
 SkewShape(outer=(5, 4, 1), inner=(4, 1))
+
+A standard tableau is also held as its *row word*, the row of each entry
+``1..n`` (``StandardTableau.row_word``); entry ``i`` is a descent when
+``i + 1`` lies in a lower row.  A family of tableaux is then one ``(f, n)``
+uint8 matrix (:func:`syt_row_words`, :func:`knuth_classes`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .permutations import (
     DescSet,
     Perm,
+    PermSet,
     compose,
     cycle_perm,
     des_mask,
     inverse,
-    perm_from_word,
 )
 
 __all__ = [
@@ -47,9 +55,11 @@ __all__ = [
     "StandardTableau",
     "parse_tableau",
     "enumerate_syt",
+    "syt_row_words",
     "syt_des",
     "rsk",
     "insertion_tableau",
+    "knuth_classes",
     "knuth_class_words",
     "shuffle_recording_map",
     "rotation_bijection",
@@ -126,6 +136,10 @@ class SkewShape:
                 raise ValueError(
                     f"inner row {r + 1} is longer than the outer row"
                 )
+        # Derived once: tableau code asks for these per tableau.
+        sizes = tuple(self.outer[r] - self.inner_len(r + 1) for r in range(self.n_rows))
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_size", sum(sizes))
 
     @property
     def n_rows(self) -> int:
@@ -136,12 +150,10 @@ class SkewShape:
         return self.inner[row - 1] if row - 1 < len(self.inner) else 0
 
     def row_sizes(self) -> tuple[int, ...]:
-        return tuple(
-            self.outer[r] - self.inner_len(r + 1) for r in range(self.n_rows)
-        )
+        return self._sizes
 
     def size(self) -> int:
-        return sum(self.row_sizes())
+        return self._size
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """All (row, col) cells, both 1-based, row-major order."""
@@ -310,17 +322,14 @@ class StandardTableau:
     def entry_at(self, row: int, col: int) -> int:
         return self.rows[row - 1][col - self.shape.inner_len(row) - 1]
 
-    def position_of_entries(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for r, row in enumerate(self.rows, start=1):
-            offset = self.shape.inner_len(r)
-            for i, value in enumerate(row, start=1):
-                out[value] = (r, offset + i)
-        return out
-
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
         return tuple(chain.from_iterable(self.rows))
+
+    def row_word(self) -> tuple[int, ...]:
+        """The 1-based row of each entry ``1..n``."""
+        rows = {e: r for r, entries in enumerate(self.rows, start=1) for e in entries}
+        return tuple(rows[e] for e in range(1, self.size + 1))
 
     def text(self) -> str:
         """Rows top to bottom; inner cells printed as a centered dot;
@@ -390,9 +399,9 @@ def enumerate_syt(shape: SkewShape) -> list[StandardTableau]:
 
     def place(value: int) -> None:
         if value > n:
-            out.append(
-                StandardTableau(shape, tuple(tuple(r) for r in rows))
-            )
+            t = object.__new__(StandardTableau)  # standard by construction
+            t.__dict__.update(shape=shape, rows=tuple(map(tuple, rows)))
+            out.append(t)
             return
         for r in range(shape.n_rows):
             if cell_is_ready(r):
@@ -405,6 +414,36 @@ def enumerate_syt(shape: SkewShape) -> list[StandardTableau]:
     place(1)
     out.sort(key=lambda t: t.reading_word())
     return out
+
+
+def syt_row_words(shape: SkewShape) -> np.ndarray:
+    """Every standard tableau of a skew shape as its row word: the ``(f, n)``
+    uint8 matrix whose row ``t`` is ``enumerate_syt(shape)[t].row_word()``.
+
+    Entries are placed one at a time on all partial tableaux at once: with
+    ``ends[s, r]`` the last filled column of row ``r``, the next entry may
+    go to row ``r`` when ``ends[s, r]`` is below ``outer[r]`` (room) and
+    below ``ends[s, r - 1]`` (the cell above is filled or outside).  Reading
+    words compare the entry sets of row 1, then row 2, ..., each by its
+    least entry not in the other; that is the final sort.
+
+    >>> syt_row_words(straight_shape((2, 2))).tolist()
+    [[1, 1, 2, 2], [1, 2, 1, 2]]
+    """
+    n, outer = shape.size(), np.array(shape.outer, np.intp)
+    words = np.zeros((1, n), np.uint8)
+    ends = np.array([[shape.inner_len(r + 1) for r in range(shape.n_rows)]], np.intp)
+    for k in range(n):
+        ready = ends < outer
+        ready[:, 1:] &= ends[:, 1:] < ends[:, :-1]
+        state, row = np.nonzero(ready)
+        words, ends = words[state], ends[state]
+        words[:, k] = row + 1
+        ends[np.arange(len(row)), row] += 1
+    # Bit n - 1 - i of key r is set when entry i + 1 is not in row r.
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=object if n > 62 else np.int64)
+    keys = [(words != r) @ bits for r in range(shape.n_rows - 1, 0, -1)]
+    return words[np.lexsort(keys)] if keys else words
 
 
 def syt_des(t: StandardTableau) -> DescSet:
@@ -447,7 +486,7 @@ def rsk(p: Perm) -> tuple[StandardTableau, StandardTableau]:
                 break
             row = p_rows[r]
             # Find the leftmost entry strictly greater than v.
-            idx = _bisect_gt(row, v)
+            idx = bisect_right(row, v)
             if idx == len(row):
                 row.append(v)
                 q_rows[r].append(step)
@@ -461,25 +500,26 @@ def rsk(p: Perm) -> tuple[StandardTableau, StandardTableau]:
     )
 
 
-def _bisect_gt(row: list[int], v: int) -> int:
-    lo, hi = 0, len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if row[mid] <= v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def insertion_tableau(p: Perm) -> StandardTableau:
     return rsk(p)[0]
 
 
-def knuth_class_words(t: StandardTableau) -> list[Perm]:
-    """All permutations whose insertion tableau equals ``t``, built by
-    pairing ``t`` with every recording tableau of the same shape (the
-    inverse RSK map), in lexicographic order.
+def knuth_classes(mu: Sequence[int]) -> list[PermSet]:
+    """The plactic classes of the straight shape ``mu``, one per insertion
+    tableau in :func:`enumerate_syt` order, from all ``f**2`` pairs of row
+    words at once.
+
+    >>> [sorted(c) for c in knuth_classes((2, 1))]
+    [[(1, 3, 2), (3, 1, 2)], [(2, 1, 3), (2, 3, 1)]]
+    """
+    rows = syt_row_words(straight_shape(mu))
+    f = len(rows)
+    return _inverse_rsk_classes(np.repeat(rows, f, axis=0), np.tile(rows, (f, 1)), mu, f)
+
+
+def knuth_class_words(t: StandardTableau) -> PermSet:
+    """All permutations whose insertion tableau equals ``t``: ``t`` paired
+    with every recording tableau of its shape under inverse RSK.
 
     >>> sorted(knuth_class_words(StandardTableau(straight_shape((2, 2)),
     ...                                          ((1, 3), (2, 4)))))
@@ -487,31 +527,39 @@ def knuth_class_words(t: StandardTableau) -> list[Perm]:
     """
     if not t.shape.is_straight():
         raise ValueError("insertion tableaux have straight shape")
-    out = []
-    for rec in enumerate_syt(t.shape):
-        out.append(_inverse_rsk(t, rec))
-    out.sort()
-    return out
+    q = syt_row_words(t.shape)
+    p = np.array([t.row_word()] * len(q))
+    return _inverse_rsk_classes(p, q, t.shape.outer, len(q))[0]
 
 
-def _inverse_rsk(ins: StandardTableau, rec: StandardTableau) -> Perm:
-    """Reverse row insertion: peel entries of ``rec`` from n down to 1."""
-    p_rows = [list(r) for r in ins.rows]
-    pos = rec.position_of_entries()
-    n = ins.size
-    word = [0] * n
-    for step in range(n, 0, -1):
-        r, c = pos[step]
-        v = p_rows[r - 1].pop()
-        assert c == len(p_rows[r - 1]) + 1
-        for upper in range(r - 2, -1, -1):
-            row = p_rows[upper]
-            idx = _bisect_gt(row, v) - 1
-            row[idx], v = v, row[idx]
-        word[step - 1] = v
-        if not p_rows[-1]:
-            p_rows.pop()
-    return perm_from_word(word)
+def _inverse_rsk_classes(
+    p_words: np.ndarray, q_words: np.ndarray, mu: Sequence[int], size: int
+) -> list[PermSet]:
+    """Inverse RSK of all pairs ``(p_words[s], q_words[s])`` of insertion and
+    recording row words of shape ``mu``; each run of ``size`` pairs is one
+    set.  P is padded with ``n + 1``.  Entry ``k = n..1`` leaves the row
+    that ``q_words[:, k - 1]`` names and bumps the largest smaller entry of
+    each row above; what leaves row 1 is letter ``k``."""
+    m, n = q_words.shape
+    p = np.full((m, len(mu), mu[0] if mu else 0), n + 1, np.min_scalar_type(n + 1))
+    reading = np.argsort(p_words, axis=1, kind="stable") + 1
+    for r, start in enumerate(np.cumsum(mu) - mu):
+        p[:, r, : mu[r]] = reading[:, start : start + mu[r]]
+    states, words = np.arange(m), np.empty((m, n), p.dtype)
+    for k in range(n - 1, -1, -1):
+        r = q_words[:, k].astype(np.intp) - 1
+        end = (p[states, r] <= n).sum(axis=1) - 1
+        v = p[states, r, end]
+        p[states, r, end] = n + 1
+        for upper in range(r.max() - 1, -1, -1):
+            row, below = p[:, upper], r > upper
+            at = (row < v[:, None]).sum(axis=1) - 1
+            bumped = row[states, at]
+            row[states, at] = np.where(below, v, bumped)
+            v = np.where(below, bumped, v)
+        words[:, k] = v
+    words = words[np.lexsort((*words.T[::-1], states // size))]
+    return [PermSet._of_rows(n, words[i : i + size]) for i in range(0, m, size)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +577,7 @@ def shuffle_recording_map(p: Perm, k: int) -> StandardTableau:
     large letters, placed on the two-component shape.  The descent set of
     the output equals the descent set of ``p``.
 
-    >>> t = shuffle_recording_map(perm_from_word((1, 6, 7, 8, 3, 2, 4, 5)), 3)
+    >>> t = shuffle_recording_map((1, 6, 7, 8, 3, 2, 4, 5), 3)
     >>> print(t.text())
     · · 2 3 4
     · · 7 8
@@ -573,7 +621,7 @@ def rotation_bijection(p: Perm, j: DescSet) -> StandardTableau:
     amount to every entry modulo ``n`` (values stay in ``1..n``), and
     re-sorting rows; its top-right entry is the position of ``n`` in ``p``.
 
-    >>> t = rotation_bijection(perm_from_word((3, 1, 4, 5, 2)), DescSet.of(5, [1]))
+    >>> t = rotation_bijection((3, 1, 4, 5, 2), DescSet.of(5, [1]))
     >>> print(t.text())
     · · · · 4
     · 1 3 5

@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schurgrid import checks
@@ -23,7 +24,17 @@ from schurgrid.checks import (
     run_checks,
     scan_conjecture,
 )
-from schurgrid.permsets import as_multiset, inv_descent_class, product_qsym
+from schurgrid.permsets import (
+    as_multiset,
+    cyclic_class,
+    embed,
+    inv_descent_class,
+    inv_weak_descent_class,
+    multiset_product,
+    product_qsym,
+)
+from schurgrid.permutations import DescSet, format_words
+from schurgrid.tableaux import StandardTableau, strip_chain_shape
 
 SMOKE_N = 3
 KNUTH_WITNESS = (
@@ -247,3 +258,91 @@ def test_batched_conj_10_3_reports_the_first_pairwise_refutation(monkeypatch):
         assert runner(n) == expected
     record = scan_conjecture("conj-10-3", 4).records[-1]
     assert (record.verdict, record.cases, record.witness) == _first_noncommuting_pair(3)
+
+
+# ---------------------------------------------------------------------------
+# thm-horizontal1: the bijection audit on word matrices
+# ---------------------------------------------------------------------------
+
+
+def weak_rotations(n, d):
+    """The support of the weak product that thm-horizontal1 audits for the
+    inverse-descent bound ``d``, with its index ``J`` and strip chain."""
+    j = DescSet.of(n, d.members)
+    weak = multiset_product(embed(inv_weak_descent_class(n - 1, d), n), cyclic_class(n))
+    return weak.words, j, strip_chain_shape(n, j)
+
+
+def test_array_rotation_audit_agrees_with_the_loop():
+    for n in range(2, 8):
+        for d in checks._dessets(n - 1, n - 2):
+            words, j, shape = weak_rotations(n, d)
+            assert checks._rotation_audit_holds(words, j, shape)
+            assert checks._first_rotation_fault(words, j, shape) is None
+
+
+def test_array_rotation_audit_fails_where_the_loop_names_a_fault():
+    for n in range(2, 6):
+        dessets = checks._dessets(n - 1, n - 2)
+        for d in dessets:
+            words, j, shape = weak_rotations(n, d)
+            outsider = np.arange(n, 0, -1, dtype=words.dtype)
+            cases = [
+                (words[1:], j, shape),
+                (np.concatenate([words, words[-1:]]), j, shape),
+                (np.concatenate([outsider[None], words]), j, shape),
+                (words[::-1], j, strip_chain_shape(n, DescSet.of(n, []))),
+            ]
+            for other in dessets:
+                j2 = DescSet.of(n, other.members)
+                cases.append((words, j2, strip_chain_shape(n, j2)))
+            for case in cases:
+                fault = checks._first_rotation_fault(*case)
+                assert checks._rotation_audit_holds(*case) == (fault is None), (case, fault)
+
+
+def test_planted_rotation_faults_keep_their_failure_strings(monkeypatch):
+    words, j, shape = weak_rotations(5, DescSet.of(4, [1]))
+    assert format_words(words[:5]).split() == ["12345", "13452", "14523", "15234", "21345"]
+    planted = [
+        (np.insert(words, 4, words[3], axis=0), "15234: image repeated (not injective)"),
+        (
+            np.insert(words, 2, np.array([1, 2, 4, 3, 5], words.dtype), axis=0),
+            "12435: map undefined (permutation does not decompose over the "
+            "given strip chain index)",
+        ),
+        (words[1:], "image misses 1 of 20 tableaux (not surjective)"),
+    ]
+    for case, text in planted:
+        assert not checks._rotation_audit_holds(case, j, shape)
+        assert checks._first_rotation_fault(case, j, shape) == text
+
+    # A swapped descent, planted in both image builders: entries 1 and 2
+    # trade rows unless one of them is the top corner.  That keeps every
+    # image a strip chain tableau, distinct, with its corner, so only the
+    # descent comparison can see it.  The check's own report names the
+    # first row whose image has 1 and 2 in different lower rows.
+    images_of, rotation = checks._rotation_images, checks.rotation_bijection
+
+    def swapped_images(words, j, shape):
+        decomposes, images = images_of(words, j, shape)
+        swap = (images[:, 0] != 1) & (images[:, 1] != 1)
+        images[swap, :2] = images[swap, 1::-1]
+        return decomposes, images
+
+    def swapped_rotation(p, j):
+        t, swap = rotation(p, j), {1: 2, 2: 1}
+        if {1, 2} & set(t.rows[0]):
+            return t
+        rows = tuple(tuple(sorted(swap.get(e, e) for e in row)) for row in t.rows)
+        return StandardTableau(t.shape, rows)
+
+    monkeypatch.setattr(checks, "_rotation_images", swapped_images)
+    monkeypatch.setattr(checks, "rotation_bijection", swapped_rotation)
+    report = run_check("thm-horizontal1", 4)
+    assert (report.status, report.lhs, report.rhs, report.notes) == (
+        "refuted",
+        "1234: descent set not preserved",
+        "bijective, descent-preserving, corner-tracking",
+        "counterexample at case 'J={1} bijection audit'",
+    )

@@ -68,6 +68,21 @@ def test_grid_enum_at_large_degree(capsys, n):
     assert out == ",".join(map(str, range(1, n + 1))) + "\n"
 
 
+def test_symmetric_group_over_budget_is_refused_before_allocating(capsys, monkeypatch):
+    # 5! * 5 = 600 letters against a budget of 599: refused, where S_5 would
+    # take a few hundred bytes even if the gate were missing.
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "599")
+    code, out, err = run(capsys, ["qsym", "S(5)", "--schur"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "resource error: S_5 needs 600 letters (budget 599); "
+        "raise SCHURGRID_GRID_BUDGET\n"
+    )
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "600")
+    code, out, _ = run(capsys, ["qsym", "S(5)", "--schur"])
+    assert (code, out) == (EXIT_OK, "s[5] + 4*s[4,1] + 5*s[3,2] + 6*s[3,1,1] + 5*s[2,2,1] + 4*s[2,1,1,1] + s[1,1,1,1,1]\n")
+
+
 def test_expression_error_exits_one(capsys):
     code, out, err = run(capsys, ["qsym", "S(x)"])
     assert (code, out) == (EXIT_USAGE, "")

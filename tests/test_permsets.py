@@ -40,6 +40,7 @@ from schurgrid.qsym import (
 )
 from schurgrid.permsets import (
     PermMultiset,
+    PermSet,
     arc_class,
     as_multiset,
     cdes_inverse_class,
@@ -68,6 +69,7 @@ from schurgrid.permsets import (
     weak_descent_class,
     zigzag_class,
 )
+from schurgrid.tableaux import enumerate_syt, insertion_tableau, partitions, straight_shape
 
 
 def all_dessets(n):
@@ -525,6 +527,27 @@ def test_battery_members_are_fine():
             assert fineness(qsym_of(cls, n)) == "fine", name
     with pytest.raises(ValueError):
         fine_battery(3, families=("nonsense",))
+
+
+def test_knuth_battery_family_groups_s_n_by_insertion_tableau():
+    # Names, order and word matrices of the Knuth family: S_n grouped by
+    # insertion tableau, the tableaux in enumerate_syt order, each class
+    # named by its least word.
+    for n in range(8):
+        classes: dict = {}
+        for w in itertools.permutations(range(1, n + 1)):
+            classes.setdefault(insertion_tableau(w), []).append(w)
+        expected = [
+            classes[t] for mu in partitions(n) for t in enumerate_syt(straight_shape(mu))
+        ]
+        family = fine_battery(n, families=("knuth",))
+        assert [name for name, _ in family] == [
+            f"knuth[{''.join(map(str, words[0]))}]" for words in expected
+        ]
+        for (_, cls), words in zip(family, expected):
+            assert type(cls) is PermSet
+            assert cls.words.dtype == symmetric_group(n).words.dtype
+            assert cls.words.tolist() == [list(w) for w in words]
 
 
 def test_inverse_descent_class_products_are_fine():

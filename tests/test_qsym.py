@@ -346,6 +346,30 @@ def syt_tally(shape):
     return v
 
 
+def ssyt_count(mu, content):
+    """Semistandard fillings of the straight shape ``mu`` with ``content[i]``
+    copies of ``i``, by trying every arrangement in reading order."""
+    letters = [i for i, c in enumerate(content) for _ in range(c)]
+    count = 0
+    for filling in set(itertools.permutations(letters)):
+        starts = [sum(mu[:r]) for r in range(len(mu))]
+        rows = [filling[s : s + length] for s, length in zip(starts, mu)]
+        count += all(
+            list(row) == sorted(row) for row in rows
+        ) and all(
+            upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower))
+        )
+    return count
+
+
+def test_kostka_matrix_counts_semistandard_tableaux():
+    for n in range(7):
+        parts = partitions(n)
+        kostka = descent_count_table(n).kostka
+        assert kostka == tuple(tuple(ssyt_count(mu, lam) for lam in parts) for mu in parts)
+        assert all(type(k) is int for row in kostka for k in row)
+
+
 def test_descent_count_table_matches_tableau_enumeration():
     for n in range(0, 9):
         table = descent_count_table(n)

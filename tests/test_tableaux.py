@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schurgrid.permutations import DescSet, des_set, inverse, parse_perm
@@ -24,6 +25,7 @@ from schurgrid.tableaux import (
     insertion_tableau,
     is_partition,
     knuth_class_words,
+    knuth_classes,
     parse_tableau,
     partitions,
     ribbon_shape,
@@ -33,6 +35,7 @@ from schurgrid.tableaux import (
     straight_shape,
     strip_chain_shape,
     syt_des,
+    syt_row_words,
 )
 
 
@@ -215,6 +218,51 @@ def test_enumerate_syt_entries_are_valid_and_distinct():
         assert t.size == shape.size()
         flat = sorted(e for row in t.rows for e in row)
         assert flat == list(range(1, shape.size() + 1))
+    # enumerate_syt skips the validation of its own fillings; the
+    # validating constructor accepts every one of them.
+    for shape in (
+        SkewShape((4, 3, 1), (2,)),
+        SkewShape((3, 2, 1), (2, 2)),
+        SkewShape((4, 4, 2), (3, 1)),
+        disconnected_shape((2, 1), (3, 2)),
+        strip_chain_shape(6, DescSet.of(6, [2, 3])),
+        straight_shape((3, 2, 2)),
+    ):
+        for t in enumerate_syt(shape):
+            assert StandardTableau(t.shape, t.rows) == t
+
+
+def shapes_up_to_seven():
+    """Straight shapes and strip chains with n <= 7, plus skew and
+    disconnected ones (one with a fully inner row) and the empty shape."""
+    out = [straight_shape(mu) for n in range(8) for mu in partitions(n)]
+    for n in range(1, 8):
+        for mask in range(1 << max(n - 2, 0)):
+            out.append(strip_chain_shape(n, DescSet(n, mask)))
+    out += [
+        SkewShape((3, 2, 1), (2, 2)),
+        SkewShape((4, 4, 2), (3, 1)),
+        SkewShape((5, 3, 3), (2, 2)),
+        disconnected_shape((2, 1), (3, 2)),
+        disconnected_shape((1, 1, 1), (2,)),
+        SkewShape((), ()),
+    ]
+    return out
+
+
+def test_syt_row_words_match_enumerate_syt():
+    for shape in shapes_up_to_seven():
+        words = syt_row_words(shape)
+        expected = [t.row_word() for t in enumerate_syt(shape)]
+        assert words.dtype == np.uint8
+        assert words.shape == (len(expected), shape.size())
+        assert list(map(tuple, words.tolist())) == expected, shape
+
+
+def test_row_word_names_the_row_of_each_entry():
+    t = parse_tableau("· · 2 3 4\n· · 7 8\n1 5\n6")
+    assert t.row_word() == (3, 1, 1, 1, 3, 4, 2, 2)
+    assert syt_des(t).members == (4, 5)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +310,18 @@ def test_rsk_descents_and_inverse_symmetry():
         assert syt_des(p) == des_set(inverse(w))
         pi, qi = rsk(inverse(w))
         assert (pi, qi) == (q, p)
+
+
+def test_knuth_classes_group_s_n_by_insertion_tableau():
+    for n in range(8):
+        classes: dict = {}
+        for w in itertools.permutations(range(1, n + 1)):
+            classes.setdefault(insertion_tableau(w), set()).add(w)
+        for t, words in classes.items():
+            assert set(knuth_class_words(t)) == words
+        for mu in partitions(n):
+            tableaux = enumerate_syt(straight_shape(mu))
+            assert [set(c) for c in knuth_classes(mu)] == [classes[t] for t in tableaux]
 
 
 def test_insertion_tableau_and_knuth_classes():
