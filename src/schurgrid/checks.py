@@ -51,6 +51,7 @@ from .grids import (
 )
 from .permutations import (
     DescSet,
+    _descent_masks,
     des_set,
     distinct_words,
     format_perm,
@@ -60,10 +61,8 @@ from .permutations import (
     parse_perm,
 )
 from .permsets import (
-    PermMultiset,
     PermSet,
     arc_class,
-    as_multiset,
     cdes_inverse_class,
     colayered_class,
     cyclic_class,
@@ -118,7 +117,6 @@ __all__ = [
     "list_checks",
     "list_scans",
     "run_check",
-    "run_checks",
     "scan_conjecture",
     "CHECK_IDS",
     "SCAN_IDS",
@@ -157,18 +155,6 @@ class CheckReport:
 
     def to_json(self) -> dict[str, object]:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "CheckReport":
-        return cls(
-            check_id=str(data["check_id"]),
-            n=int(data["n"]),  # type: ignore[arg-type]
-            status=str(data["status"]),
-            lhs=str(data["lhs"]),
-            rhs=str(data["rhs"]),
-            elapsed_ms=int(data["elapsed_ms"]),  # type: ignore[arg-type]
-            notes=str(data.get("notes", "")),
-        )
 
     def summary_lines(self) -> list[str]:
         out = [
@@ -297,12 +283,7 @@ def _battery_count(n: int) -> int:
 
 def _dessets(n: int, top: int) -> list[DescSet]:
     """All descent sets of degree ``n`` supported inside ``{1..top}``."""
-    items = list(range(1, top + 1))
-    out = []
-    for mask in range(1 << len(items)):
-        members = [items[i] for i in range(len(items)) if mask >> i & 1]
-        out.append(DescSet.of(n, members))
-    return out
+    return [DescSet(n, mask) for mask in range(1 << top)]
 
 
 def _sign_vectors(max_len: int, min_len: int = 1) -> list[tuple[int, ...]]:
@@ -330,15 +311,9 @@ def _qsyms(n: int, cells: np.ndarray) -> list[QSym]:
     return [QSym(n, tuple(row)) for row in cells.tolist()]
 
 
-def _battery(n: int) -> list[tuple[str, PermMultiset]]:
-    return [(name, as_multiset(bset, n)) for name, bset in fine_battery(n)]
-
-
-def _expanded_battery(
-    n: int,
-) -> list[tuple[str, PermMultiset, SchurExpansion]]:
+def _expanded_battery(n: int) -> list[tuple[str, PermSet, SchurExpansion]]:
     out = []
-    for name, bset in _battery(n):
+    for name, bset in fine_battery(n):
         e = schur_expand(bset.qsym())
         if isinstance(e, NotSymmetric):
             raise RuntimeError(
@@ -464,7 +439,7 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
     bsets = [bset for _, bset, _ in battery]
     for d in _dessets(n, n - 1):
-        rclass = as_multiset(inv_weak_descent_class(n, d), n)
+        rclass = inv_weak_descent_class(n, d)
         r_expansion = SchurExpansion.zero(n)
         for size in range(len(d.members) + 1):
             for chosen in itertools.combinations(d.members, size):
@@ -499,25 +474,25 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
 )
 def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n)
-    dessets = _dessets(n, n - 1)
-    dclasses = {d: as_multiset(inv_descent_class(n, d), n) for d in dessets}
-    pairs = [(i, d) for i in range(len(battery)) for d in dessets]
-    folded: dict[DescSet, list[QSym]] = {}
+    pairs = [(i, d) for i in range(len(battery)) for d in _dessets(n, n - 1)]
     if n >= 6:
         rng = random.Random(_SAMPLE_SEED)
         pairs = rng.sample(pairs, 60)
         led.note(f"degree {n}: deterministic sample of 60 pairs (seed {_SAMPLE_SEED})")
-    else:
-        bsets = [bset for _, bset, _ in battery]
-        for d in dessets:
-            folded[d] = _qsyms(n, product_qsym_grid(bsets, [dclasses[d]])[:, 0])
+    # One fold per descent set, of the battery sets paired with it.
+    rows: dict[DescSet, list[int]] = {}
     for i, d in pairs:
-        name, bset, be = battery[i]
+        rows.setdefault(d, []).append(i)
+    folded: dict[tuple[int, DescSet], QSym] = {}
+    for d, idx in rows.items():
+        cells = product_qsym_grid([battery[i][1] for i in idx], [inv_descent_class(n, d)])
+        folded.update(zip([(i, d) for i in idx], _qsyms(n, cells[:, 0])))
+    for i, d in pairs:
+        name, _, be = battery[i]
         rhs_e = kronecker(be, _ribbon_schur(n, d))
-        lhs_q = folded[d][i] if folded else product_qsym(bset, dclasses[d])
         led.add(
             f"{name} * D{d.braces()}",
-            lhs_q.serialize(),
+            folded[i, d].serialize(),
             schur_f_vector(rhs_e).serialize(),
         )
         led.add(
@@ -533,7 +508,7 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     " generating function of the remove-then-add-a-corner route.",
 )
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     dessets = _dessets(n, n - 1)
     dclasses = [inv_descent_class(n, d) for d in dessets]
     lhss = _qsyms(n, product_qsym_grid([cyc], dclasses)[0])
@@ -571,7 +546,7 @@ def _run_prop_r2(led: _CaseLedger, n: int) -> None:
     " rotations of the k-cell one-column class.",
 )
 def _run_eq_recurrence(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     prev = qsym_of(zigzag_class(n, 1), n)
     led.add("base", prev.serialize(), cyc.qsym().serialize())
     for k in range(2, n + 1):
@@ -611,17 +586,12 @@ def _rotation_images(
     k = (np.argmax(p == n - 1, axis=1) + 1) % n
     sigma = np.take_along_axis(p, (np.arange(n) + k[:, None]) % n, axis=1)
     sigma_inv = np.argsort(sigma, axis=1)
-    decomposes = (sigma[:, -1] == n - 1) & (_desc_masks(sigma_inv) & ~j.mask == 0)
+    masks = _descent_masks(n, (m,), lambda c: sigma_inv[:, c])
+    decomposes = (sigma[:, -1] == n - 1) & (masks & (((1 << (n - 1)) - 1) ^ j.mask) == 0)
     column_row = [r for r, _ in sorted(shape.cells(), key=lambda cell: cell[1])]
     images = np.empty((m, n), np.uint8)
     images[states, (sigma_inv + k[:, None]) % n] = column_row
     return decomposes, images
-
-
-def _desc_masks(words: np.ndarray) -> np.ndarray:
-    """Descent mask of every row of a word matrix."""
-    falls = np.diff(words.astype(np.intp), axis=1) < 0
-    return falls @ (1 << np.arange(words.shape[1] - 1))
 
 
 def _rotation_audit_holds(words: np.ndarray, j: DescSet, shape: SkewShape) -> bool:
@@ -635,7 +605,10 @@ def _rotation_audit_holds(words: np.ndarray, j: DescSet, shape: SkewShape) -> bo
     unique, tableaux = distinct_words(images)[0], syt_row_words(shape)
     return bool(
         decomposes.all()
-        and np.array_equal(_desc_masks(-images.astype(np.intp)), _desc_masks(words))
+        and np.array_equal(
+            _descent_masks(n, decomposes.shape, lambda c: -images[:, c].astype(np.intp)),
+            _descent_masks(n, decomposes.shape, lambda c: words[:, c]),
+        )
         and np.array_equal(np.argmax(images == 1, axis=1), np.argmax(words == n, axis=1))
         and len(unique) == len(words)
         and np.array_equal(unique, tableaux[np.lexsort(tableaux.T[::-1])])
@@ -677,7 +650,7 @@ def _first_rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> st
     " and two quasisymmetric routes.",
 )
 def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     for d in _dessets(n - 1, n - 2):
         dn = DescSet.of(n, d.members)
         exact = multiset_product(embed(inv_descent_class(n - 1, d), n), cyc)
@@ -711,7 +684,7 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
     " rotations of the k-cell ascending one-column class.",
 )
 def _run_cor_rotated_shuffles2(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     for k in range(1, n + 1):
         z = zigzag_class(n, k)
         led.add(
@@ -749,7 +722,7 @@ def _run_cor_cyc_fine(led: _CaseLedger, n: int) -> None:
 )
 def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
     lifted = embed(left_unimodal_class(n - 1), n)
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     arcs = arc_class(n)
     lc = multiset_product(lifted, cyc)
     cl = multiset_product(cyc, lifted)
@@ -791,7 +764,7 @@ def _run_cor_lc_cl(led: _CaseLedger, n: int) -> None:
     " three hook-like Schur terms.",
 )
 def _run_cor_hrc(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     prev = colayered_class(n - 1, 1)
     for k in range(2, n):
         cur = colayered_class(n - 1, k)
@@ -1008,7 +981,7 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
         "++-+--",
     )
     vs = _sign_vectors(3)
-    classes = {v: as_multiset(one_column_class(v, n), n) for v in vs}
+    classes = {v: one_column_class(v, n) for v in vs}
     for v in vs:
         for w in vs:
             left = set_product(classes[v], classes[w])
@@ -1024,7 +997,7 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
     " corner cell to its Schur support.",
 )
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     for name, bset, be in _expanded_battery(n - 1):
         lhs = product_qsym(embed(bset, n), cyc)
         rhs = schur_f_vector(pieri_up(be))
@@ -1172,19 +1145,6 @@ def run_check(check_id: str, n: int | None = None) -> CheckReport:
     )
 
 
-def run_checks(
-    check_ids: Sequence[str] | None = None,
-    n_overrides: Mapping[str, int] | None = None,
-) -> list[CheckReport]:
-    """Run several checks one after another, in the order given."""
-    ids = list(_REGISTRY) if check_ids is None else list(check_ids)
-    overrides = dict(n_overrides or {})
-    for cid in ids:
-        if cid not in _REGISTRY:
-            raise ValueError(f"unknown check id {cid!r}")
-    return [run_check(cid, overrides.get(cid)) for cid in ids]
-
-
 # ---------------------------------------------------------------------------
 # Conjecture scans
 # ---------------------------------------------------------------------------
@@ -1263,7 +1223,7 @@ class ScanReport:
     " Schur-positive.",
 )
 def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     cases = 0
     for v in _sign_vectors(n - 1):
         cases += 1
@@ -1283,7 +1243,7 @@ def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
     " class form sets with equal descent generating functions.",
 )
 def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
-    cyc = as_multiset(cyclic_class(n), n)
+    cyc = cyclic_class(n)
     cases = 0
     for d in _dessets(n - 1, n - 2):
         cases += 1
@@ -1308,26 +1268,25 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
     " descent generating function.",
 )
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
-    battery = _battery(n)
+    battery = fine_battery(n)
     dessets = _dessets(n, n - 1)
-    dclasses = [as_multiset(inv_descent_class(n, d), n) for d in dessets]
+    dclasses = [inv_descent_class(n, d) for d in dessets]
     bsets = [bset for _, bset in battery]
     left = product_qsym_grid(dclasses, bsets)
-    right = product_qsym_grid(bsets, dclasses)
-    commute = (left == right.transpose(1, 0, 2)).all(axis=2)
+    right = product_qsym_grid(bsets, dclasses).transpose(1, 0, 2)
+    commute = (left == right).all(axis=2)
     # Cases run d-major, so the first failing pair is the first in ravel order.
     failing = np.flatnonzero(~commute)
     if not len(failing):
         return "holds", commute.size, None
     first = int(failing[0])
     i, b = divmod(first, len(battery))
-    (name, bset), dclass = battery[b], dclasses[i]
-    left, right = product_qsym(dclass, bset), product_qsym(bset, dclass)
+    lq, rq = _qsyms(n, np.stack([left[i, b], right[i, b]]))
     return (
         "refuted",
         first + 1,
-        f"B={name}, J={dessets[i].braces()}: {left.serialize()} != "
-        f"{right.serialize()}",
+        f"B={battery[b][0]}, J={dessets[i].braces()}: {lq.serialize()} != "
+        f"{rq.serialize()}",
     )
 
 

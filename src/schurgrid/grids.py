@@ -55,7 +55,6 @@ __all__ = [
     "complement_matrix",
     "rotate180_matrix",
     "reflect_matrix_horizontal",
-    "reflect_matrix_vertical",
     "diagonal_reflect_matrix",
     "one_column_matrix",
     "stack_matrix",
@@ -171,11 +170,6 @@ def rotate180_matrix(m: GridMatrix) -> GridMatrix:
 def reflect_matrix_horizontal(m: GridMatrix) -> GridMatrix:
     """Flip left-right and negate entries (reverse of the class)."""
     return GridMatrix(tuple(tuple(-e for e in reversed(row)) for row in m.rows))
-
-
-def reflect_matrix_vertical(m: GridMatrix) -> GridMatrix:
-    """Flip upside down and negate entries (complement of the class)."""
-    return complement_matrix(m)
 
 
 def diagonal_reflect_matrix(m: GridMatrix) -> GridMatrix:

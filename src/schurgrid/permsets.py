@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Union
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .grids import (
     one_column_matrix,
 )
 from .permutations import (
+    CollectionLike,
     DescSet,
     Perm,
     PermMultiset,
@@ -38,8 +38,8 @@ from .permutations import (
     _descent_masks,
     _mult_dtype,
     _word_dtype,
+    as_multiset,
     distinct_words,
-    read_collection,
 )
 from .qsym import QSym
 from .tableaux import (
@@ -83,17 +83,6 @@ __all__ = [
     "fine_battery",
     "BATTERY_FAMILIES",
 ]
-
-CollectionLike = Union["PermMultiset", Mapping[Perm, int], Iterable[Perm]]
-
-
-def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
-    """Normalize a multiset/mapping/iterable into a :class:`PermMultiset`
-    (see :func:`~schurgrid.permutations.read_collection`)."""
-    if isinstance(x, PermMultiset):
-        return x
-    return PermMultiset.from_mapping(*read_collection(x, n))
-
 
 # ---------------------------------------------------------------------------
 # Products

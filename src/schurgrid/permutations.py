@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "horizontal_rotate",
     "reverse",
     "complement",
-    "rotate180",
     "standardize",
     "composition",
     "composition_partial_sums",
@@ -57,11 +56,11 @@ __all__ = [
     "is_mu_modal_mask",
     "shuffle_words",
     "shuffles",
-    "read_collection",
     "distinct_words",
     "format_words",
     "PermMultiset",
     "PermSet",
+    "as_multiset",
 ]
 
 # One-line notation: word[i] is the image of position i+1.
@@ -309,11 +308,6 @@ def complement(p: Perm) -> Perm:
     return tuple(n + 1 - v for v in p)
 
 
-def rotate180(p: Perm) -> Perm:
-    """Reverse and complement together; descent set reflects: i -> n-i."""
-    return complement(reverse(p))
-
-
 def standardize(values: Sequence[int]) -> Perm:
     """The permutation order-isomorphic to a sequence of distinct integers.
 
@@ -477,32 +471,6 @@ def shuffles(
 # ---------------------------------------------------------------------------
 
 
-def read_collection(
-    elems: Mapping[Perm, int] | Iterable[Perm], n: int | None = None
-) -> tuple[int, dict[Perm, int]]:
-    """Degree and word -> multiplicity counts of a mapping (taken as given;
-    a ``PermMultiset`` is one) or of an iterable of words (each occurrence
-    counts once).  ``n`` is required only when the collection is empty
-    and does not carry its degree as ``.n`` (a ``PermMultiset`` does);
-    mixed degrees, or a degree other than ``n``, are rejected.
-
-    >>> read_collection([(2, 1), (1, 2), (2, 1)])
-    (2, Counter({(2, 1): 2, (1, 2): 1}))
-    """
-    counts = Counter(elems)
-    degrees = {len(w) for w in counts}
-    if not degrees and hasattr(elems, "n"):
-        degrees = {elems.n}
-    if len(degrees) > 1:
-        raise ValueError("mixed degrees in collection")
-    degree = degrees.pop() if degrees else n
-    if degree is None:
-        raise ValueError("empty collection needs an explicit degree")
-    if n is not None and n != degree:
-        raise ValueError(f"degree mismatch: elements have degree {degree}")
-    return degree, counts
-
-
 def distinct_words(
     words: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -610,10 +578,6 @@ class PermMultiset(Mapping):
         out = cls.__new__(cls)
         out._fill(n, words, mults)
         return out
-
-    @classmethod
-    def from_mapping(cls, n: int, data: Mapping[Perm, int]) -> "PermMultiset":
-        return cls(n, ((w, m) for w, m in data.items() if m))
 
     @property
     def elems(self) -> tuple[tuple[Perm, int], ...]:
@@ -725,3 +689,34 @@ class PermSet(PermMultiset, Set):
         if isinstance(other, PermSet) and other.n == self.n:
             return PermSet.from_words(np.concatenate([self.words, other.words]))
         return Set.__or__(self, other)
+
+
+CollectionLike = Union[PermMultiset, Mapping[Perm, int], Iterable[Perm]]
+
+
+def as_multiset(x: CollectionLike, n: int | None = None) -> PermMultiset:
+    """The one reader of permutation collections.  A ``PermMultiset`` (a
+    ``PermSet`` is one) is returned as it is; a mapping is read as word ->
+    multiplicity, its zero entries dropped; an iterable counts each
+    occurrence once.  ``n`` is required only when the collection is empty
+    and is not a ``PermMultiset``; mixed degrees, or a degree other than
+    ``n``, are rejected.
+
+    >>> as_multiset([(2, 1), (1, 2), (2, 1)])
+    PermMultiset(2, (((1, 2), 1), ((2, 1), 2)))
+    """
+    if isinstance(x, PermMultiset):
+        degrees, counts = {x.n}, None
+    else:
+        counts = Counter(x)
+        degrees = {len(w) for w in counts} or {n}
+    if len(degrees) > 1:
+        raise ValueError("mixed degrees in collection")
+    degree = degrees.pop()
+    if degree is None:
+        raise ValueError("empty collection needs an explicit degree")
+    if n not in (None, degree):
+        raise ValueError(f"degree mismatch: elements have degree {degree}")
+    if counts is None:
+        return x
+    return PermMultiset(degree, ((w, m) for w, m in counts.items() if m))

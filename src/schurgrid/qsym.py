@@ -29,19 +29,19 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .permutations import (
+    CollectionLike,
     Composition,
     DescSet,
     Perm,
-    PermMultiset,
     _descent_masks,
+    as_multiset,
     composition_boundary_mask,
     des_mask,
-    read_collection,
     shuffle_words,
     sorted_composition_key,
 )
@@ -219,10 +219,7 @@ def _fundamental_monomials(
     return tuple(out)
 
 
-def qsym_of(
-    elems: Union[Mapping[Perm, int], Iterable[Perm]],
-    n: int | None = None,
-) -> QSym:
+def qsym_of(elems: CollectionLike, n: int | None = None) -> QSym:
     """Descent generating function of a (multi)set of permutations.
 
     Accepts a :class:`~schurgrid.permutations.PermMultiset` (a
@@ -234,10 +231,7 @@ def qsym_of(
     >>> qsym_of([(1, 2, 3)]).serialize()
     'n=3; F{}'
     """
-    if not isinstance(elems, PermMultiset):
-        elems = PermMultiset.from_mapping(*read_collection(elems, n))
-    elif n is not None and n != elems.n:
-        raise ValueError(f"degree mismatch: elements have degree {elems.n}")
+    elems = as_multiset(elems, n)
     words, mults = elems.words, elems.mults
     acc = np.zeros(_width(elems.n), mults.dtype)
     np.add.at(acc, _descent_masks(elems.n, mults.shape, lambda c: words[:, c]), mults)

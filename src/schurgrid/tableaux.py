@@ -53,7 +53,6 @@ __all__ = [
     "strip_chain_shape",
     "disconnected_shape",
     "StandardTableau",
-    "parse_tableau",
     "enumerate_syt",
     "syt_row_words",
     "syt_des",
@@ -345,28 +344,6 @@ class StandardTableau:
             cells = ["·"] * self.shape.inner_len(r) + [str(e) for e in row]
             lines.append(" ".join(cells))
         return "\n".join(lines)
-
-
-def parse_tableau(text: str) -> StandardTableau:
-    """Parse the textual tableau form produced by :meth:`StandardTableau.text`."""
-    rows: list[list[int]] = []
-    inner: list[int] = []
-    for line in text.strip().splitlines():
-        parts = line.split()
-        pad = 0
-        while pad < len(parts) and parts[pad] in {"·", "."}:
-            pad += 1
-        entries = [int(p) for p in parts[pad:]]
-        if any(p in {"·", "."} for p in parts[pad:]):
-            raise ValueError("inner-cell markers must be leading")
-        rows.append(entries)
-        inner.append(pad)
-    outer = tuple(inner[i] + len(rows[i]) for i in range(len(rows)))
-    inner_t = list(inner)
-    while inner_t and inner_t[-1] == 0:
-        inner_t.pop()
-    shape = SkewShape(outer, tuple(inner_t))
-    return StandardTableau(shape, tuple(tuple(r) for r in rows))
 
 
 def enumerate_syt(shape: SkewShape) -> list[StandardTableau]:

@@ -29,7 +29,6 @@ from schurgrid.permutations import (
     des_set,
     inverse,
     parse_perm,
-    read_collection,
 )
 from schurgrid.qsym import (
     NotSymmetric,
@@ -83,7 +82,7 @@ def multisets_of(n):
         st.permutations(tuple(range(1, n + 1))).map(tuple),
         st.sampled_from((1, 2, 3, 2**40)),
         max_size=4,
-    ).map(lambda d: PermMultiset.from_mapping(n, d))
+    ).map(lambda d: as_multiset(d, n))
 
 
 multiset_pairs = st.integers(0, 4).flatmap(
@@ -98,7 +97,7 @@ def reference_product(a, b):
         for y, my in b.elems:
             w = tuple(x[v - 1] for v in y)
             out[w] = out.get(w, 0) + mx * my
-    return PermMultiset.from_mapping(a.n, out)
+    return as_multiset(out, a.n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def test_multiset_construction_and_counting():
     with pytest.raises(ValueError):
         PermMultiset(3, (((1, 2), 1),))
     with pytest.raises(ValueError):
-        PermMultiset.from_mapping(2, {(1, 2): -1})
+        as_multiset({(1, 2): -1}, 2)
 
 
 def test_multiset_sum_and_scale():
@@ -145,7 +144,7 @@ def assert_canonical(m):
     assert all(c > 0 for c in m.mults.tolist())
     assert m.mults.dtype == (np.int64 if total < 2**63 else object)
     assert m.elems == tuple(zip(rows, m.mults.tolist()))
-    rebuilt = PermMultiset.from_mapping(m.n, dict(m.elems))
+    rebuilt = as_multiset(dict(m.elems), m.n)
     assert rebuilt == m and hash(rebuilt) == hash(m)
 
 
@@ -176,10 +175,10 @@ def assert_canonical(m):
 def test_multiset_representation_invariants(case):
     n, data, other_data, k, lift = case
     m = PermMultiset(n, data.items())
-    other = PermMultiset.from_mapping(n, other_data)
+    other = as_multiset(other_data, n)
     assert m.elems == tuple(sorted(data.items()))
-    assert m == PermMultiset.from_mapping(n, data)
-    assert hash(m) == hash(PermMultiset.from_mapping(n, data))
+    assert m == as_multiset(data, n)
+    assert hash(m) == hash(as_multiset(data, n))
     assert (m == other) == (data == other_data)
     total = {w: data.get(w, 0) + other_data.get(w, 0) for w in data | other_data}
     cases = {
@@ -197,7 +196,7 @@ def test_multiset_representation_invariants(case):
         assert_canonical(got)
         expected = dict(expected)
         assert got.elems == tuple(sorted(expected.items())), name
-        assert got == PermMultiset.from_mapping(got.n, expected), name
+        assert got == as_multiset(expected, got.n), name
 
 
 def test_products_never_reread_array_backed_inputs(monkeypatch):
@@ -208,8 +207,8 @@ def test_products_never_reread_array_backed_inputs(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("collection re-read")
 
-    monkeypatch.setattr(permsets, "read_collection", refuse)
-    monkeypatch.setattr(qsym, "read_collection", refuse)
+    # as_multiset returns a PermMultiset as it is and builds every other
+    # collection through PermMultiset.__init__.
     monkeypatch.setattr(PermMultiset, "__init__", refuse)
     monkeypatch.setattr(PermMultiset, "elems", property(refuse))
     assert product_qsym(a, b).n == 4
@@ -228,26 +227,39 @@ def test_products_never_reread_array_backed_inputs(monkeypatch):
 READER_DATA = {(2, 1, 3): 3, (1, 2, 3): 2, (3, 1, 2): 5}
 
 
-def test_read_collection_reads_a_multiset():
-    m = PermMultiset.from_mapping(3, READER_DATA)
-    assert read_collection(m) == (3, READER_DATA)
-    assert read_collection(m, 3) == (3, READER_DATA)
-    with pytest.raises(ValueError):
-        read_collection(m, 4)
+def test_as_multiset_reads_a_multiset():
+    m = as_multiset(READER_DATA, 3)
+    assert dict(m) == READER_DATA
+    assert as_multiset(m) is m
+    assert as_multiset(m, 3) is m
+    with pytest.raises(ValueError, match="degree mismatch"):
+        as_multiset(m, 4)
+
+
+def test_as_multiset_checks_the_degree_of_every_form():
+    forms = (cyclic_class(3), as_multiset([], 3), [(1, 2, 3)], {(1, 2, 3): 2})
+    for form in forms:
+        assert as_multiset(form, 3).n == 3
+        for reader in (as_multiset, qsym_of):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                reader(form, 4)
+    with pytest.raises(ValueError, match="mixed degrees"):
+        as_multiset([(1, 2), (1, 2, 3)])
+    assert as_multiset({(2, 1): 0, (1, 2): 3}) == as_multiset({(1, 2): 3})
 
 
 def test_qsym_of_reads_a_multiset():
-    m = PermMultiset.from_mapping(3, READER_DATA)
+    m = as_multiset(READER_DATA, 3)
     assert qsym_of(m) == qsym_of(READER_DATA) == m.qsym()
 
 
 def test_signed_char_vector_reads_a_multiset():
-    m = PermMultiset.from_mapping(3, READER_DATA)
+    m = as_multiset(READER_DATA, 3)
     assert signed_char_vector(m) == signed_char_vector(READER_DATA)
 
 
 def test_char_from_signed_formula_reads_a_multiset():
-    m = PermMultiset.from_mapping(3, READER_DATA)
+    m = as_multiset(READER_DATA, 3)
     for mu in ((3,), (2, 1), (1, 1, 1)):
         assert char_from_signed_formula(m, mu) == char_from_signed_formula(
             READER_DATA, mu
@@ -256,7 +268,7 @@ def test_char_from_signed_formula_reads_a_multiset():
 
 def test_readers_take_the_degree_of_an_empty_multiset():
     empty = as_multiset([], 3)
-    assert read_collection(empty) == (3, {})
+    assert as_multiset(empty).n == 3
     assert qsym_of(empty) == empty.qsym() == qsym.QSym.zero(3)
     assert signed_char_vector(empty) == signed_char_vector([], 3)
     assert char_from_signed_formula(empty, (2, 1)) == 0
@@ -292,8 +304,8 @@ def test_multiset_product_total_size_multiplies():
 @example((as_multiset([()]).scale(3), as_multiset([()]).scale(5)))
 @example((as_multiset([], 3), as_multiset(symmetric_group(3))))
 @example((as_multiset(symmetric_group(3)), as_multiset([], 3)))
-@example((PermMultiset.from_mapping(2, {(1, 2): 10**12, (2, 1): 1}),) * 2)
-@example((PermMultiset.from_mapping(2, {(2, 1): 2**64}), as_multiset([], 2)))
+@example((as_multiset({(1, 2): 10**12, (2, 1): 1}, 2),) * 2)
+@example((as_multiset({(2, 1): 2**64}, 2), as_multiset([], 2)))
 def test_product_qsym_equals_materialized_product(pair):
     a, b = pair
     expected = reference_product(a, b)
@@ -309,7 +321,7 @@ def _grid_case(n):
     )
 
 
-HUGE = PermMultiset.from_mapping(2, {(1, 2): 2**62, (2, 1): 3})
+HUGE = as_multiset({(1, 2): 2**62, (2, 1): 3}, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,7 +329,7 @@ HUGE = PermMultiset.from_mapping(2, {(1, 2): 2**62, (2, 1): 3})
 @example(([HUGE, HUGE], [HUGE.scale(5)]), None)
 @example(([as_multiset([], 3), as_multiset(symmetric_group(3))], [as_multiset([], 3)]), None)
 @example(([as_multiset([], 2)], []), None)
-@example(([PermMultiset.from_mapping(2, {(2, 1): 2**64})], [as_multiset([], 2)]), None)
+@example(([as_multiset({(2, 1): 2**64}, 2)], [as_multiset([], 2)]), None)
 @example(
     (
         [symmetric_group(4), as_multiset([], 4), inversion_ball(4, 2)],
@@ -368,7 +380,7 @@ def test_product_qsym_edge_cases():
 
 def test_product_with_huge_multiplicities_is_exact():
     big = 10**12
-    a = PermMultiset.from_mapping(2, {(1, 2): big})
+    a = as_multiset({(1, 2): big}, 2)
     q = product_qsym(a, a)
     assert q.coeff(DescSet.of(2, [])) == big * big
 

@@ -32,7 +32,6 @@ from schurgrid.permutations import (
     parse_perm,
     perm_from_word,
     reverse,
-    rotate180,
     shuffle_words,
     shuffles,
     standardize,
@@ -189,8 +188,10 @@ def test_reverse_complement_rotate180():
     w = parse_perm("25134")
     assert reverse(w) == (4, 3, 1, 5, 2)
     assert complement(w) == (4, 1, 5, 3, 2)
-    assert rotate180(w) == reverse(complement(w))
-    assert rotate180(rotate180(w)) == w
+    # The half turn does both, in either order; it reflects the descent set.
+    rotated = reverse(complement(w))
+    assert rotated == complement(reverse(w)) == (2, 3, 5, 1, 4)
+    assert des_set(rotated) == des_set(w).reflect()
 
 
 @given(perms)

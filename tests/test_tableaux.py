@@ -26,7 +26,6 @@ from schurgrid.tableaux import (
     is_partition,
     knuth_class_words,
     knuth_classes,
-    parse_tableau,
     partitions,
     ribbon_shape,
     rotation_bijection,
@@ -260,7 +259,8 @@ def test_syt_row_words_match_enumerate_syt():
 
 
 def test_row_word_names_the_row_of_each_entry():
-    t = parse_tableau("· · 2 3 4\n· · 7 8\n1 5\n6")
+    t = StandardTableau(SkewShape((5, 4, 2, 1), (2, 2)), ((2, 3, 4), (7, 8), (1, 5), (6,)))
+    assert t.text() == "· · 2 3 4\n· · 7 8\n1 5\n6"
     assert t.row_word() == (3, 1, 1, 1, 3, 4, 2, 2)
     assert syt_des(t).members == (4, 5)
 
@@ -279,12 +279,6 @@ def test_row_word_names_the_row_of_each_entry():
 def test_tableau_validation_rejects(shape, rows, message):
     with pytest.raises(ValueError, match=message):
         StandardTableau(shape, rows)
-
-
-def test_tableau_text_parse_round_trip():
-    for shape in (straight_shape((3, 2)), SkewShape((4, 2), (1,))):
-        for t in enumerate_syt(shape):
-            assert parse_tableau(t.text()) == t
 
 
 # ---------------------------------------------------------------------------
