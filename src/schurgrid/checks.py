@@ -332,6 +332,14 @@ def _fineness(e: SchurExpansion | NotSymmetric) -> str:
     return "symmetric and Schur-positive"
 
 
+def _symmetry(led: _CaseLedger, e: SchurExpansion | NotSymmetric) -> str:
+    """Verdict of the negative checks; a certificate goes into the notes."""
+    if isinstance(e, NotSymmetric):
+        led.note(e.serialize())
+        return "not symmetric"
+    return f"symmetric: {e.serialize()}"
+
+
 def _schur_sum(n: int, items: Iterable[tuple[tuple[int, ...], int]]) -> SchurExpansion:
     data: dict[tuple[int, ...], int] = {}
     for parts, coeff in items:
@@ -793,7 +801,7 @@ def _run_prop_reflections(led: _CaseLedger, n: int) -> None:
     for name, m in _fine_matrix_corpus():
         g = enumerate_grid(m, n)
         e = schur_expand(qsym_of(g, n))
-        if isinstance(e, NotSymmetric) or not is_schur_positive(e):
+        if not is_schur_positive(e):
             raise RuntimeError(f"corpus matrix {name} is unexpectedly not fine")
         vclass = enumerate_grid(complement_matrix(m), n)
         hclass = enumerate_grid(reflect_matrix_horizontal(m), n)
@@ -819,7 +827,7 @@ def _run_cor_equid_rotation(led: _CaseLedger, n: int) -> None:
     for name, m in _wide_matrix_corpus():
         q = qsym_of(enumerate_grid(m, n), n)
         e = schur_expand(q)
-        if isinstance(e, NotSymmetric) or not is_schur_positive(e):
+        if not is_schur_positive(e):
             led.add(f"{name} vacuous", "premise false", "premise false")
             continue
         rotated = qsym_of(enumerate_grid(rotate180_matrix(m), n), n)
@@ -1012,12 +1020,7 @@ def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
 def _run_neg_arc_grid(led: _CaseLedger, n: int) -> None:
     m = arc_matrices()[0]
     e = schur_expand(qsym_of(enumerate_grid(m, n), n))
-    if isinstance(e, NotSymmetric):
-        led.note(e.serialize())
-        verdict = "not symmetric"
-    else:
-        verdict = f"symmetric: {e.serialize()}"
-    led.add(f"grid {format_grid_matrix(m)}", verdict, "not symmetric")
+    led.add(f"grid {format_grid_matrix(m)}", _symmetry(led, e), "not symmetric")
 
 
 @_check(
@@ -1039,8 +1042,7 @@ def _run_neg_knuth_rot(led: _CaseLedger, n: int) -> None:
     led.note(e.serialize())
     led.add(
         "vertical rotations are not fine",
-        "not fine" if isinstance(e, NotSymmetric) or not is_schur_positive(e)
-        else f"fine: {e.serialize()}",
+        "not fine" if not is_schur_positive(e) else f"fine: {e.serialize()}",
         "not fine",
     )
     e_horiz = schur_expand(product_qsym(lifted, cyclic_class(5)))
@@ -1065,12 +1067,7 @@ def _run_neg_stack(led: _CaseLedger, n: int) -> None:
     right = enumerate_grid(m, 6)
     led.add_sets("product set", left, right)
     e = schur_expand(qsym_of(right, 6))
-    if isinstance(e, NotSymmetric):
-        led.note(e.serialize())
-        verdict = "not symmetric"
-    else:
-        verdict = f"symmetric: {e.serialize()}"
-    led.add("asymmetry", verdict, "not symmetric")
+    led.add("asymmetry", _symmetry(led, e), "not symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -1228,7 +1225,7 @@ def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
     for v in _sign_vectors(n - 1):
         cases += 1
         e = schur_expand(product_qsym(cyc, one_column_class(v, n)))
-        if isinstance(e, NotSymmetric) or not is_schur_positive(e):
+        if not is_schur_positive(e):
             return (
                 "refuted",
                 cases,
@@ -1328,12 +1325,10 @@ def _scan_restriction(n: int) -> tuple[str, int, str | None]:
     for name, m in _wide_matrix_corpus():
         cases += 1
         e_hi = schur_expand(qsym_of(enumerate_grid(m, n), n))
-        hi = isinstance(e_hi, SchurExpansion) and is_schur_positive(e_hi)
-        if not hi:
+        if not is_schur_positive(e_hi):
             continue
         e_lo = schur_expand(qsym_of(enumerate_grid(m, n - 1), n - 1))
-        lo = isinstance(e_lo, SchurExpansion) and is_schur_positive(e_lo)
-        if not lo:
+        if not is_schur_positive(e_lo):
             return (
                 "refuted",
                 cases,

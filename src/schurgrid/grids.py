@@ -336,49 +336,35 @@ def consistent_orientation(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Signs for rows and columns with ``row*col == entry`` on every
     nonzero cell, or None when impossible.  Rows are listed top to bottom;
-    untouched rows/columns get ``+1``.
+    the first row of each connected set of cells and untouched
+    rows/columns get ``+1``.
 
     >>> consistent_orientation(parse_grid_matrix("+-/0+"))
     ((1, -1), (1, -1))
     >>> consistent_orientation(parse_grid_matrix("++/+-")) is None
     True
     """
-    nr, nc = m.n_rows, m.n_cols
-    row_sign = [0] * nr
-    col_sign = [0] * nc
-    row_adj: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
-    col_adj: list[list[tuple[int, int]]] = [[] for _ in range(nc)]
-    for i, j in m.cells():
-        e = m.rows[i][j]
-        row_adj[i].append((j, e))
-        col_adj[j].append((i, e))
-    for start in range(nr):
-        if row_sign[start] or not row_adj[start]:
+    cells = [(i, j, m.rows[i][j]) for i, j in m.cells()]
+    row_sign = [0] * m.n_rows
+    col_sign = [0] * m.n_cols
+    for start, _, _ in cells:
+        if row_sign[start]:
             continue
+        # A new component: fix its first row, then spread signs until stable.
         row_sign[start] = 1
-        stack: list[tuple[str, int]] = [("row", start)]
-        while stack:
-            kind, node = stack.pop()
-            if kind == "row":
-                for j, e in row_adj[node]:
-                    want = e * row_sign[node]
-                    if col_sign[j] == 0:
-                        col_sign[j] = want
-                        stack.append(("col", j))
-                    elif col_sign[j] != want:
-                        return None
-            else:
-                for i, e in col_adj[node]:
-                    want = e * col_sign[node]
-                    if row_sign[i] == 0:
-                        row_sign[i] = want
-                        stack.append(("row", i))
-                    elif row_sign[i] != want:
-                        return None
-    return (
-        tuple(s if s else 1 for s in row_sign),
-        tuple(s if s else 1 for s in col_sign),
-    )
+        changed = True
+        while changed:
+            changed = False
+            for i, j, e in cells:
+                if row_sign[i] and not col_sign[j]:
+                    col_sign[j] = row_sign[i] * e
+                    changed = True
+                elif col_sign[j] and not row_sign[i]:
+                    row_sign[i] = col_sign[j] * e
+                    changed = True
+    if any(row_sign[i] * col_sign[j] != e for i, j, e in cells):
+        return None
+    return tuple(s or 1 for s in row_sign), tuple(s or 1 for s in col_sign)
 
 
 def refine_matrix(m: GridMatrix) -> GridMatrix:

@@ -404,9 +404,10 @@ class SchurExpansion:
         return " + ".join(parts)
 
 
-def is_schur_positive(e: SchurExpansion) -> bool:
-    """Whether every Schur coefficient is nonnegative."""
-    return all(c >= 0 for _, c in e.coeffs)
+def is_schur_positive(e: SchurExpansion | NotSymmetric) -> bool:
+    """Whether every Schur coefficient is nonnegative; a function that is
+    not symmetric has no Schur expansion and is not Schur-positive."""
+    return isinstance(e, SchurExpansion) and all(c >= 0 for _, c in e.coeffs)
 
 
 @dataclass(frozen=True)

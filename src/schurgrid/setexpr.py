@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable
 
 from .grids import enumerate_grid, parse_grid_matrix, parse_sign_vector
 from .permutations import DescSet, format_perm, parse_perm
@@ -146,16 +146,22 @@ class _Parser:
         if tok.kind != "name":
             raise self.fail("a family or combinator name")
         name = tok.text
-        builder = _BUILDERS.get(name)
-        if builder is None:
+        entry = _BUILDERS.get(name)
+        if entry is None:
             known = ", ".join(sorted(_BUILDERS))
             raise ExprError(
                 f"position {tok.pos}: unknown name {name!r}; expected one of {known}"
             )
+        readers, fn = entry
         self.take()
         self.expect_punct("(")
         try:
-            value = builder(self)
+            args = []
+            for k, read in enumerate(readers):
+                if k:
+                    self.expect_punct(",")
+                args.append(read(self))
+            value = fn(*args)
         except ExprError:
             raise
         except ValueError as exc:
@@ -163,138 +169,63 @@ class _Parser:
         self.expect_punct(")")
         return value
 
-    def comma(self) -> None:
-        self.expect_punct(",")
+
+# Argument readers.  A quoted string is converted as soon as it is read, so
+# a bad string is reported before the arguments after it are parsed.
+_Reader = Callable[[_Parser], Any]
+_NUM: _Reader = _Parser.number
+_SET: _Reader = _Parser.braced_set
+_EXPR: _Reader = _Parser.expr
 
 
-def _build_degree_set(
-    fn: Callable[[int], PermMultiset]
-) -> Callable[[_Parser], PermMultiset]:
-    def build(p: _Parser) -> PermMultiset:
-        n = p.number()
-        return fn(n)
-
-    return build
+def _quoted(convert: Callable[[str], Any]) -> _Reader:
+    return lambda p: convert(p.string())
 
 
-def _build_descents(
-    fn: Callable[[int, DescSet], PermMultiset]
-) -> Callable[[_Parser], PermMultiset]:
-    def build(p: _Parser) -> PermMultiset:
-        n = p.number()
-        p.comma()
-        members = p.braced_set()
-        return fn(n, DescSet.of(n, members))
-
-    return build
-
-
-def _build_colayer(p: _Parser) -> PermMultiset:
-    k = p.number()
-    p.comma()
-    n = p.number()
-    return colayered_class(n, k)
-
-
-def _build_onecol(p: _Parser) -> PermMultiset:
-    signs = parse_sign_vector(p.string())
-    p.comma()
-    n = p.number()
-    return one_column_class(signs, n)
-
-
-def _build_grid(p: _Parser) -> PermMultiset:
-    matrix = parse_grid_matrix(p.string())
-    p.comma()
-    n = p.number()
-    return enumerate_grid(matrix, n)
-
-
-def _build_knuth(p: _Parser) -> PermMultiset:
-    word = parse_perm(p.string())
-    return knuth_class(word)
-
-
-def _build_conj(p: _Parser) -> PermMultiset:
-    parts_text = p.string()
+def _cycle_type(text: str) -> tuple[str, tuple[int, ...]]:
+    """The cycle type's text, kept for messages, and its parts."""
     try:
-        parts = tuple(int(piece) for piece in parts_text.split(",") if piece.strip())
+        return text, tuple(int(piece) for piece in text.split(",") if piece.strip())
     except ValueError as exc:
-        raise ValueError(f"bad cycle type {parts_text!r}") from exc
-    p.comma()
-    n = p.number()
+        raise ValueError(f"bad cycle type {text!r}") from exc
+
+
+def _conj(cycle_type: tuple[str, tuple[int, ...]], n: int) -> PermMultiset:
+    text, parts = cycle_type
     if sum(parts) != n:
-        raise ValueError(f"cycle type {parts_text!r} does not sum to {n}")
+        raise ValueError(f"cycle type {text!r} does not sum to {n}")
     return conjugacy_class(n, parts)
 
 
-def _build_pair_int(
-    fn: Callable[[int, int], PermMultiset]
-) -> Callable[[_Parser], PermMultiset]:
-    def build(p: _Parser) -> PermMultiset:
-        n = p.number()
-        p.comma()
-        k = p.number()
-        return fn(n, k)
-
-    return build
-
-
-def _build_embed(p: _Parser) -> PermMultiset:
-    inner = p.expr()
-    p.comma()
-    n = p.number()
-    return embed(inner, n)
-
-
-def _build_prod(p: _Parser) -> PermMultiset:
-    a = p.expr()
-    p.comma()
-    b = p.expr()
-    return multiset_product(a, b)
-
-
-def _build_setprod(p: _Parser) -> PermMultiset:
-    a = p.expr()
-    p.comma()
-    b = p.expr()
-    return set_product(a, b)
-
-
-def _build_inv(p: _Parser) -> PermMultiset:
-    return invert_collection(p.expr())
-
-
-def _build_union(p: _Parser) -> PermMultiset:
-    a = p.expr()
-    p.comma()
-    b = p.expr()
+def _union(a: PermMultiset, b: PermMultiset) -> PermMultiset:
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} vs {b.n}")
     return a.support() | b.support()
 
 
-_BUILDERS: dict[str, Callable[[_Parser], PermMultiset]] = {
-    "S": _build_degree_set(symmetric_group),
-    "C": _build_degree_set(cyclic_class),
-    "arc": _build_degree_set(arc_class),
-    "L": _build_degree_set(left_unimodal_class),
-    "colayer": _build_colayer,
-    "D": _build_descents(descent_class),
-    "Dinv": _build_descents(inv_descent_class),
-    "R": _build_descents(weak_descent_class),
-    "Rinv": _build_descents(inv_weak_descent_class),
-    "onecol": _build_onecol,
-    "grid": _build_grid,
-    "knuth": _build_knuth,
-    "conj": _build_conj,
-    "invfix": _build_pair_int(inversion_sphere),
-    "cdesinv": _build_pair_int(cdes_inverse_class),
-    "embed": _build_embed,
-    "prod": _build_prod,
-    "setprod": _build_setprod,
-    "inv": _build_inv,
-    "union": _build_union,
+# Each name: the readers of its arguments, in order, and the function their
+# values are passed to.
+_BUILDERS: dict[str, tuple[tuple[_Reader, ...], Callable[..., PermMultiset]]] = {
+    "S": ((_NUM,), symmetric_group),
+    "C": ((_NUM,), cyclic_class),
+    "arc": ((_NUM,), arc_class),
+    "L": ((_NUM,), left_unimodal_class),
+    "colayer": ((_NUM, _NUM), lambda k, n: colayered_class(n, k)),
+    "D": ((_NUM, _SET), lambda n, s: descent_class(n, DescSet.of(n, s))),
+    "Dinv": ((_NUM, _SET), lambda n, s: inv_descent_class(n, DescSet.of(n, s))),
+    "R": ((_NUM, _SET), lambda n, s: weak_descent_class(n, DescSet.of(n, s))),
+    "Rinv": ((_NUM, _SET), lambda n, s: inv_weak_descent_class(n, DescSet.of(n, s))),
+    "onecol": ((_quoted(parse_sign_vector), _NUM), one_column_class),
+    "grid": ((_quoted(parse_grid_matrix), _NUM), enumerate_grid),
+    "knuth": ((_quoted(parse_perm),), knuth_class),
+    "conj": ((_quoted(_cycle_type), _NUM), _conj),
+    "invfix": ((_NUM, _NUM), inversion_sphere),
+    "cdesinv": ((_NUM, _NUM), cdes_inverse_class),
+    "embed": ((_EXPR, _NUM), embed),
+    "prod": ((_EXPR, _EXPR), multiset_product),
+    "setprod": ((_EXPR, _EXPR), set_product),
+    "inv": ((_EXPR,), invert_collection),
+    "union": ((_EXPR, _EXPR), _union),
 }
 
 

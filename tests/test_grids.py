@@ -145,6 +145,41 @@ def test_consistent_orientation_and_refinement():
         assert enumerate_grid(clash, n) == enumerate_grid(refined, n)
 
 
+def _brute_orientable(m: GridMatrix) -> bool:
+    cells = [(i, j, m.rows[i][j]) for i, j in m.cells()]
+    return any(
+        all(rows[i] * cols[j] == e for i, j, e in cells)
+        for rows in itertools.product((1, -1), repeat=m.n_rows)
+        for cols in itertools.product((1, -1), repeat=m.n_cols)
+    )
+
+
+def test_consistent_orientation_every_matrix_up_to_3x3():
+    for nr, nc in itertools.product(range(1, 4), repeat=2):
+        for entries in itertools.product((-1, 0, 1), repeat=nr * nc):
+            m = GridMatrix(
+                tuple(tuple(entries[i * nc : (i + 1) * nc]) for i in range(nr))
+            )
+            oriented = consistent_orientation(m)
+            assert (oriented is not None) == _brute_orientable(m), m
+            if oriented is None:
+                continue
+            rows, cols = oriented
+            cells = m.cells()
+            assert all(rows[i] * cols[j] == m.rows[i][j] for i, j in cells)
+            # Label rows 0..nr-1 and columns nr.. by connected component;
+            # the lowest row of each component is the one fixed to +1.
+            label = list(range(nr + nc))
+            for i, j in cells:
+                a, b = label[i], label[nr + j]
+                label = [a if x == b else x for x in label]
+            for c in set(label[:nr]):
+                assert rows[min(i for i in range(nr) if label[i] == c)] == 1
+            # Untouched rows and columns.
+            assert all(rows[i] == 1 for i in range(nr) if not any(m.rows[i]))
+            assert all(cols[j] == 1 for j in range(nc) if not any(r[j] for r in m.rows))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration versus the picture definition
 # ---------------------------------------------------------------------------

@@ -202,6 +202,10 @@ def test_not_symmetric_witness_frozen():
     assert not is_symmetric_by_monomials(qsym_of([(2, 1, 3)]))
 
 
+def test_not_symmetric_is_not_schur_positive():
+    assert is_schur_positive(schur_expand(qsym_of([(2, 1, 3)]))) is False
+
+
 def test_schur_expand_full_symmetric_group():
     q = qsym_of(itertools.permutations(range(1, 5)))
     e = schur_expand(q)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from schurgrid.grids import enumerate_grid, one_column_matrix, parse_grid_matrix
@@ -23,7 +26,7 @@ from schurgrid.permsets import (
     symmetric_group,
     weak_descent_class,
 )
-from schurgrid.setexpr import ExprError, evaluate
+from schurgrid.setexpr import _BUILDERS, ExprError, evaluate
 
 
 def support(text):
@@ -117,6 +120,15 @@ ERRORS = [
     ("", "position 0: expected a family or combinator name, found end of input"),
     ('conj("2,2", 3)', "position 0: conj: cycle type '2,2' does not sum to 3"),
     ("invfix(3)", "position 8: expected ',', found ')'"),
+    # A quoted string is converted as soon as it is read, and a family runs
+    # before the closing parenthesis is read.
+    ('grid("+x")', "position 0: grid: bad matrix character 'x'"),
+    ('knuth("1,1")', "position 0: knuth: not a permutation of 1..2: (1, 1)"),
+    ('conj("a")', "position 0: conj: bad cycle type 'a'"),
+    ('onecol("*", x)', "position 0: onecol: bad sign character '*'"),
+    ("D(4, {9}", "position 0: D: member 9 outside 1..3"),
+    ("colayer(0, 3)", "position 0: colayer: size must be >= 1"),
+    ("inv(S(3), 1)", "position 8: expected ')', found ','"),
 ]
 
 
@@ -131,3 +143,11 @@ def test_errors_are_value_errors():
     assert issubclass(ExprError, ValueError)
     with pytest.raises(ValueError):
         evaluate("D(4, {9})")
+
+
+def test_readme_table_names_every_expression():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Expression language\n", 1)[1].split("\n#", 1)[0]
+    cells = re.findall(r"^\| (.+?) \| .+ \|$", section, re.M)
+    names = [n for cell in cells for n in re.findall(r"`([A-Za-z][\w-]*)\(", cell)]
+    assert sorted(names) == sorted(_BUILDERS)
