@@ -2,9 +2,15 @@
 descent-sum evaluation of the character attached to a permutation set.
 
 Irreducible character values are computed by border-strip removal on
-first-column hook lengths (beta-sets); Kronecker coefficients come from the
-pointwise product of character vectors paired back against the irreducibles,
-with exact integer arithmetic throughout.
+first-column hook lengths (beta-sets).  Each degree keeps, built on first
+use, its character table as an integer array and the same table weighted
+by the class sizes.  A Schur coefficient row times the table is a class
+function; the pointwise product of two class functions times the weighted
+table, divided by ``n!``, is their Kronecker product.  So
+:func:`kronecker_rows` takes a whole matrix of rows against one expansion
+at once, and :func:`kronecker` is its one-row case.  Every product runs in
+``int64`` when a bound on its inputs stays below 2**63 and in Python ints
+(``object`` arrays) otherwise, so the arithmetic is exact throughout.
 
 >>> mn_character((2, 1), (1, 1, 1))
 2
@@ -17,12 +23,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .permutations import (
     Perm,
     composition_boundary_mask,
     is_mu_modal_mask,
 )
-from .qsym import QSym, SchurExpansion, qsym_of
+from .qsym import (
+    QSym,
+    SchurExpansion,
+    _exact_matmul,
+    _int_array,
+    qsym_of,
+    schur_rows,
+)
 from .tableaux import Partition, conjugate_partition, partitions
 
 __all__ = [
@@ -35,6 +50,7 @@ __all__ = [
     "char_vector",
     "schur_from_char_vector",
     "kronecker",
+    "kronecker_rows",
     "sign_twist",
     "char_from_signed_formula",
     "signed_char_vector",
@@ -136,27 +152,37 @@ class CharacterVector:
         rho = tuple(sorted(rho, reverse=True))
         return self.values[partitions(self.n).index(rho)]
 
-    def pointwise_mul(self, other: "CharacterVector") -> "CharacterVector":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return CharacterVector(
-            self.n, tuple(a * b for a, b in zip(self.values, other.values))
-        )
-
     def degree(self) -> int:
         """Value at the identity class."""
         return self.value((1,) * self.n) if self.n else self.values[0]
 
 
+@lru_cache(maxsize=None)
+def _characters(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The character arrays of degree ``n``, rows and columns in
+    ``partitions(n)`` order: ``table[i, k]`` is the character of the
+    ``i``-th shape at the ``k``-th cycle type, and ``weighted[k, i]`` is
+    that value times the size of the class."""
+    rows = list(character_table(n).values())
+    weighted = [[class_size(rho) * row[k] for row in rows] for k, rho in enumerate(partitions(n))]
+    return _int_array(rows), _int_array(weighted)
+
+
+def _from_characters(n: int, chars: np.ndarray) -> np.ndarray:
+    """Schur coefficient rows of class-function rows: inner products with
+    the irreducibles, asserted integral."""
+    totals = _exact_matmul(chars, _characters(n)[1])
+    broken = np.flatnonzero(totals % math.factorial(n))
+    if len(broken):
+        lam = partitions(n)[broken[0] % totals.shape[1]]
+        raise ValueError(f"class function has non-integral multiplicity at {lam}")
+    return totals // math.factorial(n)
+
+
 def char_vector(e: SchurExpansion) -> CharacterVector:
     """Class-function values of a Schur expansion."""
-    parts = partitions(e.n)
-    acc = [0] * len(parts)
-    for lam, c in e.coeffs:
-        row = character_row(lam, e.n)
-        for i, v in enumerate(row):
-            acc[i] += c * v
-    return CharacterVector(e.n, tuple(acc))
+    chars = _exact_matmul(schur_rows(e.n, [e]), _characters(e.n)[0])
+    return CharacterVector(e.n, tuple(chars[0].tolist()))
 
 
 def schur_from_char_vector(v: CharacterVector) -> SchurExpansion:
@@ -167,26 +193,27 @@ def schur_from_char_vector(v: CharacterVector) -> SchurExpansion:
     ... # doctest: +ELLIPSIS
     SchurExpansion(n=3, coeffs=(((2, 1), 3),))
     """
-    n = v.n
-    parts = partitions(n)
-    weights = [class_size(rho) for rho in parts]
-    n_fact = math.factorial(n)
-    out: dict[Partition, int] = {}
-    for lam in parts:
-        row = character_row(lam, n)
-        total = sum(w * a * b for w, a, b in zip(weights, v.values, row))
-        if total % n_fact:
-            raise ValueError(
-                f"class function has non-integral multiplicity at {lam}"
-            )
-        if total:
-            out[lam] = total // n_fact
-    return SchurExpansion.from_dict(n, out)
+    return SchurExpansion.from_row(v.n, _from_characters(v.n, _int_array([v.values]))[0])
+
+
+def kronecker_rows(rows: np.ndarray, e: SchurExpansion) -> np.ndarray:
+    """Kronecker products of Schur coefficient rows (indexed like
+    ``partitions(e.n)``) with ``e``: the character rows times the character
+    of ``e``, class by class, re-expanded over the irreducibles.
+
+    >>> kronecker_rows(schur_rows(3, [SchurExpansion.single((3,)),
+    ...                               SchurExpansion.single((2, 1))]),
+    ...                SchurExpansion.single((1, 1, 1))).tolist()
+    [[0, 0, 1], [0, 1, 0]]
+    """
+    table = _characters(e.n)[0]
+    other = _exact_matmul(schur_rows(e.n, [e]), table)[0]
+    return _from_characters(e.n, _exact_matmul(_exact_matmul(rows, table), np.diag(other)))
 
 
 def kronecker(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
-    """Kronecker (internal) product: pointwise product of character
-    vectors, re-expanded over the irreducibles.
+    """Kronecker (internal) product: the one-row case of
+    :func:`kronecker_rows`.
 
     >>> kronecker(SchurExpansion.single((2, 1)),
     ...           SchurExpansion.single((1, 1, 1))).serialize()
@@ -194,7 +221,7 @@ def kronecker(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """
     if a.n != b.n:
         raise ValueError("Kronecker product needs equal degrees")
-    return schur_from_char_vector(char_vector(a).pointwise_mul(char_vector(b)))
+    return SchurExpansion.from_row(a.n, kronecker_rows(schur_rows(a.n, [a]), b)[0])
 
 
 def sign_twist(e: SchurExpansion) -> SchurExpansion:

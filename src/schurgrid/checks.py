@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .characters import kronecker, sign_twist
+from .characters import kronecker_rows, sign_twist
 from .grids import (
     GridMatrix,
     GridResourceError,
@@ -91,7 +91,9 @@ from .qsym import (
     pieri_down,
     pieri_up,
     schur_expand,
+    schur_f_rows,
     schur_f_vector,
+    schur_rows,
     skew_schur_f_vector,
 )
 from .tableaux import (
@@ -311,9 +313,21 @@ def _qsyms(n: int, cells: np.ndarray) -> list[QSym]:
     return [QSym(n, tuple(row)) for row in cells.tolist()]
 
 
-def _expanded_battery(n: int) -> list[tuple[str, PermSet, SchurExpansion]]:
+_Battery = tuple[list[tuple[str, PermSet, SchurExpansion]], np.ndarray]
+
+
+def _expanded_battery(n: int) -> _Battery:
+    """The fine battery of degree ``n``, each set with its Schur expansion,
+    and the expansions as the rows of one coefficient matrix."""
+    return _expand_battery(fine_battery, n)
+
+
+@functools.cache
+def _expand_battery(battery_of: Callable[[int], list[tuple[str, PermSet]]], n: int) -> _Battery:
+    """``_expanded_battery``, built once per degree and per battery function
+    (a test that patches ``fine_battery`` gets its own)."""
     out = []
-    for name, bset in fine_battery(n):
+    for name, bset in battery_of(n):
         e = schur_expand(bset.qsym())
         if isinstance(e, NotSymmetric):
             raise RuntimeError(
@@ -321,7 +335,29 @@ def _expanded_battery(n: int) -> list[tuple[str, PermSet, SchurExpansion]]:
                 f"{e.serialize()}"
             )
         out.append((name, bset, e))
-    return out
+    rows = schur_rows(n, [e for _, _, e in out])
+    rows.flags.writeable = False
+    return out, rows
+
+
+def _kronecker_sides(
+    n: int, sets: list[PermSet], rows: np.ndarray, right: PermSet, e: SchurExpansion
+) -> list[tuple[str, str, str]]:
+    """For each battery set (with its Schur row): its product with ``right``
+    folded, the fundamental vector of the Kronecker product of its row with
+    ``e``, and ``Schur-positive`` or else that product's expansion."""
+    folded = _qsyms(n, product_qsym_grid(sets, [right])[:, 0])
+    products = kronecker_rows(rows, e)
+    fvecs = _qsyms(n, schur_f_rows(n, products))
+    positive = (products >= 0).all(axis=1)
+    return [
+        (
+            lhs.serialize(),
+            rhs.serialize(),
+            "Schur-positive" if ok else SchurExpansion.from_row(n, row).serialize(),
+        )
+        for lhs, rhs, ok, row in zip(folded, fvecs, positive, products)
+    ]
 
 
 def _fineness(e: SchurExpansion | NotSymmetric) -> str:
@@ -444,7 +480,7 @@ def _scan(
     " class expands as the sum of its ribbon summands.",
 )
 def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
-    battery = _expanded_battery(n)
+    battery, rows = _expanded_battery(n)
     bsets = [bset for _, bset, _ in battery]
     for d in _dessets(n, n - 1):
         rclass = inv_weak_descent_class(n, d)
@@ -458,19 +494,11 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
             direct.serialize(),
             r_expansion.serialize(),
         )
-        lhs_qs = _qsyms(n, product_qsym_grid(bsets, [rclass])[:, 0])
-        for (name, _, be), lhs_q in zip(battery, lhs_qs):
-            rhs_e = kronecker(be, r_expansion)
-            led.add(
-                f"{name} * R{d.braces()}",
-                lhs_q.serialize(),
-                schur_f_vector(rhs_e).serialize(),
-            )
-            led.add(
-                f"{name} * R{d.braces()} positive",
-                "Schur-positive" if is_schur_positive(rhs_e) else rhs_e.serialize(),
-                "Schur-positive",
-            )
+        sides = _kronecker_sides(n, bsets, rows, rclass, r_expansion)
+        for (name, _, _), (lhs, rhs, positive) in zip(battery, sides):
+            label = f"{name} * R{d.braces()}"
+            led.add(label, lhs, rhs)
+            led.add(f"{label} positive", positive, "Schur-positive")
 
 
 @_check(
@@ -481,33 +509,28 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     " battery x subsets through degree 5, seeded sample of 60 beyond.",
 )
 def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
-    battery = _expanded_battery(n)
+    battery, rows = _expanded_battery(n)
     pairs = [(i, d) for i in range(len(battery)) for d in _dessets(n, n - 1)]
     if n >= 6:
         rng = random.Random(_SAMPLE_SEED)
         pairs = rng.sample(pairs, 60)
         led.note(f"degree {n}: deterministic sample of 60 pairs (seed {_SAMPLE_SEED})")
-    # One fold per descent set, of the battery sets paired with it.
-    rows: dict[DescSet, list[int]] = {}
+    # One fold and one Kronecker product per descent set, of the battery
+    # sets paired with it.
+    paired: dict[DescSet, list[int]] = {}
     for i, d in pairs:
-        rows.setdefault(d, []).append(i)
-    folded: dict[tuple[int, DescSet], QSym] = {}
-    for d, idx in rows.items():
-        cells = product_qsym_grid([battery[i][1] for i in idx], [inv_descent_class(n, d)])
-        folded.update(zip([(i, d) for i in idx], _qsyms(n, cells[:, 0])))
+        paired.setdefault(d, []).append(i)
+    sides: dict[tuple[int, DescSet], tuple[str, str, str]] = {}
+    for d, idx in paired.items():
+        found = _kronecker_sides(
+            n, [battery[i][1] for i in idx], rows[idx], inv_descent_class(n, d), _ribbon_schur(n, d)
+        )
+        sides.update(zip([(i, d) for i in idx], found))
     for i, d in pairs:
-        name, _, be = battery[i]
-        rhs_e = kronecker(be, _ribbon_schur(n, d))
-        led.add(
-            f"{name} * D{d.braces()}",
-            folded[i, d].serialize(),
-            schur_f_vector(rhs_e).serialize(),
-        )
-        led.add(
-            f"{name} * D{d.braces()} positive",
-            "Schur-positive" if is_schur_positive(rhs_e) else rhs_e.serialize(),
-            "Schur-positive",
-        )
+        lhs, rhs, positive = sides[i, d]
+        label = f"{battery[i][0]} * D{d.braces()}"
+        led.add(label, lhs, rhs)
+        led.add(f"{label} positive", positive, "Schur-positive")
 
 
 @_check(
@@ -1006,7 +1029,7 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
 )
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
-    for name, bset, be in _expanded_battery(n - 1):
+    for name, bset, be in _expanded_battery(n - 1)[0]:
         lhs = product_qsym(embed(bset, n), cyc)
         rhs = schur_f_vector(pieri_up(be))
         led.add(name, lhs.serialize(), rhs.serialize())
@@ -1299,13 +1322,16 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
         key=lambda item: item[0],
     )
     classes = [c for _, _, c in items]
+    # kron[nu][mu]: the Schur row of s_mu * s_nu, one batched product per nu.
+    parts = partitions(n)
+    shapes = np.identity(len(parts), np.int64)
+    kron = {nu: dict(zip(parts, kronecker_rows(shapes, SchurExpansion.single(nu)))) for nu in parts}
     cases = 0
     for least_a, mu, a in items:
-        ea = SchurExpansion.single(mu)
         products = _qsyms(n, product_qsym_grid([a], classes)[0])
         for (least_b, nu, _), product in zip(items, products):
             cases += 1
-            expected = kronecker(ea, SchurExpansion.single(nu))
+            expected = SchurExpansion.from_row(n, kron[nu][mu])
             got = schur_expand(product)
             pair = f"A=class of {format_perm(least_a)}, B=class of {format_perm(least_b)}"
             if isinstance(got, NotSymmetric):

@@ -17,6 +17,7 @@ or resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -65,7 +66,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built once per process: it keeps no state between
+    calls, and its usage errors raise instead of exiting."""
     parser = _ArgumentParser(
         prog="schurgrid",
         description=(

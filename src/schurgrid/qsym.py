@@ -11,11 +11,18 @@ the same walk gives the fundamental vector of any skew shape: the sum of
 ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).  Summing a column
 of the table over the subsets of the partial sums of ``lambda`` gives the
 Kostka number ``K[mu][lambda]``, and the Kostka matrix is unitriangular in
-the lex-decreasing order of :func:`partitions`.  So the Schur coefficients
-of a vector follow from its monomial coefficients by integer
-back-substitution; the vector is symmetric exactly when they rebuild it,
-and otherwise two rearranged compositions with different monomial
-coefficients witness that it is not.
+the lex-decreasing order of :func:`partitions`.
+
+Each degree's table keeps, built on first use, its columns stacked as a
+``P x 2**(n-1)`` integer matrix and the integer inverse of the Kostka
+matrix (found by back-substitution).  The Schur coefficients of a vector
+are its monomial coefficients (a subset-sum transform) at the partitions
+times that inverse; the vector is symmetric exactly when the coefficients
+times the matrix rebuild it, and otherwise the first mask whose monomial
+coefficient differs from that of the least mask of its rearrangement
+class witnesses that it is not.  Every product runs in ``int64`` when its
+length times the largest entries of its two sides stays below 2**63, and in
+Python ints (``object`` arrays) otherwise.
 
 >>> schur_expand(QSym.unit(3) + QSym.single(3, DescSet.of(3, [1]))
 ...              + QSym.single(3, DescSet.of(3, [2]))).serialize()
@@ -35,15 +42,14 @@ import numpy as np
 
 from .permutations import (
     CollectionLike,
-    Composition,
     DescSet,
     Perm,
     _descent_masks,
+    _mult_dtype,
     as_multiset,
     composition_boundary_mask,
     des_mask,
     shuffle_words,
-    sorted_composition_key,
 )
 from .tableaux import Partition, SkewShape, partitions
 
@@ -57,6 +63,8 @@ __all__ = [
     "schur_expand",
     "is_schur_positive",
     "schur_f_vector",
+    "schur_f_rows",
+    "schur_rows",
     "skew_schur_f_vector",
     "pieri_up",
     "pieri_down",
@@ -338,6 +346,12 @@ class SchurExpansion:
         return cls(n, items)
 
     @classmethod
+    def from_row(cls, n: int, row: np.ndarray) -> "SchurExpansion":
+        """The expansion whose coefficients, indexed like ``partitions(n)``
+        (already in the order of ``coeffs``), are ``row``."""
+        return cls(n, tuple((mu, c) for mu, c in zip(partitions(n), row.tolist()) if c))
+
+    @classmethod
     def zero(cls, n: int) -> "SchurExpansion":
         return cls.from_dict(n, {})
 
@@ -429,86 +443,134 @@ class NotSymmetric:
         )
 
 
-def monomial_coefficients(q: QSym) -> list[int]:
-    """Coefficients in the monomial quasisymmetric basis: the subset-sum
-    (zeta) transform of the fundamental coefficients."""
-    v = list(q.coeffs)
-    width = max(q.n - 1, 0)
-    for bit in range(width):
-        step = 1 << bit
-        for mask in range(len(v)):
-            if mask & step:
-                v[mask] += v[mask ^ step]
+def _int_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """``rows`` as an array: ``int64`` unless an entry reaches 2**63."""
+    return np.array(rows, _mult_dtype(max((abs(v) for r in rows for v in r), default=0)))
+
+
+def _exact_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` in ``int64`` when no partial sum can reach 2**63
+    (their length times the largest entry of each side bounds them all),
+    and in Python ints otherwise."""
+    big = [int(np.abs(a).max(initial=0)) for a in (rows, matrix)]
+    dtype = _mult_dtype(rows.shape[-1] * big[0] * big[1])
+    return rows.astype(dtype, copy=False) @ matrix.astype(dtype, copy=False)
+
+
+def _monomials(q: QSym) -> np.ndarray:
+    """The subset-sum (zeta) transform of the fundamental coefficients, one
+    bit at a time over the mask pairs that differ in it.  No value exceeds
+    the sum of ``|coeffs|``, so their number times the largest fixes the
+    dtype."""
+    v = np.array(q.coeffs, _mult_dtype(len(q.coeffs) * max(map(abs, q.coeffs))))
+    for bit in range(q.n - 1):
+        pairs = v.reshape(-1, 2, 1 << bit)
+        pairs[:, 1] += pairs[:, 0]
     return v
 
 
-def _monomial_witness(q: QSym) -> NotSymmetric | None:
-    mono = monomial_coefficients(q)
-    seen: dict[Composition, tuple[int, int]] = {}
-    for mask in range(len(mono)):
-        d = DescSet(q.n, mask)
-        key = sorted_composition_key(d)
-        if key not in seen:
-            seen[key] = (mask, mono[mask])
-            continue
-        first_mask, first_val = seen[key]
-        if mono[mask] != first_val:
-            return NotSymmetric(
-                q.n,
-                (DescSet(q.n, first_mask), d),
-                (first_val, mono[mask]),
-            )
-    return None
+def monomial_coefficients(q: QSym) -> list[int]:
+    """Coefficients in the monomial quasisymmetric basis: the subset-sum
+    (zeta) transform of the fundamental coefficients."""
+    return _monomials(q).tolist()
+
+
+@lru_cache(maxsize=None)
+def _class_reps(n: int) -> np.ndarray:
+    """For each mask of degree ``n``, the least mask whose blocks are a
+    rearrangement of its blocks: the id of its rearrangement class.  The
+    blocks of all masks are counted by length at once, one position at a
+    time; masks with equal counts share a class, and a stable sort of the
+    counts puts the least mask of each class first."""
+    masks = np.arange(_width(n))
+    counts = np.zeros((len(masks), n + 2), np.int64)
+    run = np.ones_like(masks)
+    for i in range(n - 1):
+        ends = np.flatnonzero(masks >> i & 1)
+        counts[ends, run[ends]] += 1
+        run += 1
+        run[ends] = 1
+    counts[masks, run] += 1
+    order = np.lexsort(counts.T)
+    ordered = counts[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    reps = np.empty_like(masks)
+    reps[order] = order[starts][np.cumsum(starts) - 1]
+    return reps
+
+
+def _monomial_witness(q: QSym, mono: np.ndarray) -> NotSymmetric | None:
+    """The first mask, in mask order, whose monomial coefficient differs from
+    that of the least mask of its rearrangement class."""
+    reps = _class_reps(q.n)
+    bad = np.flatnonzero(mono != mono[reps])
+    if not len(bad):
+        return None
+    mask, rep = int(bad[0]), int(reps[bad[0]])
+    return NotSymmetric(
+        q.n, (DescSet(q.n, rep), DescSet(q.n, mask)), (int(mono[rep]), int(mono[mask]))
+    )
 
 
 def is_symmetric_by_monomials(q: QSym) -> bool:
     """Independent symmetry test: monomial coefficients must be constant on
     rearrangement classes of the block-length composition."""
-    return _monomial_witness(q) is None
+    return _monomial_witness(q, _monomials(q)) is None
 
 
 def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     """The Schur expansion of a quasisymmetric vector, or a
     :class:`NotSymmetric` certificate.
 
-    Walking the partitions in lex-decreasing order, each coefficient is the
-    monomial coefficient of ``q`` at that partition minus the contributions
-    of the coefficients already found (the Kostka matrix is unitriangular).
-    The candidate is returned when its fundamental vector is ``q``;
-    otherwise ``q`` is not symmetric and the monomial witness says where.
+    The monomial coefficients of ``q`` at the partitions of ``n``, times the
+    inverse Kostka matrix, give the candidate coefficients (one product with
+    the table's ``expander``).  The candidate is returned when its
+    fundamental vector is ``q``; otherwise ``q`` is not symmetric and the
+    monomial witness says where.
 
     >>> isinstance(schur_expand(QSym.single(3, DescSet.of(3, [1]), 2)
     ...                         + QSym.unit(3)), NotSymmetric)
     True
     """
-    parts = partitions(q.n)
-    kostka = descent_count_table(q.n).kostka
-    mono = monomial_coefficients(q)
-    coeffs: list[int] = []
-    for j, lam in enumerate(parts):
-        coeffs.append(
-            mono[composition_boundary_mask(lam)]
-            - sum(c * kostka[i][j] for i, c in enumerate(coeffs) if c)
-        )
-    expansion = SchurExpansion.from_dict(q.n, dict(zip(parts, coeffs)))
-    if schur_f_vector(expansion) == q:
-        return expansion
-    witness = _monomial_witness(q)
+    table = descent_count_table(q.n)
+    coeffs = _exact_matmul(_int_array([q.coeffs]), table.expander)
+    if _exact_matmul(coeffs, table.matrix)[0].tolist() == list(q.coeffs):
+        return SchurExpansion.from_row(q.n, coeffs[0])
+    witness = _monomial_witness(q, _monomials(q))
     assert witness is not None, "a vector outside the Schur span is not symmetric"
     return witness
+
+
+@lru_cache(maxsize=None)
+def _partition_index(n: int) -> dict[Partition, int]:
+    return {mu: i for i, mu in enumerate(partitions(n))}
+
+
+def schur_rows(n: int, expansions: Sequence[SchurExpansion]) -> np.ndarray:
+    """The coefficients of each degree-``n`` expansion as one row, indexed
+    like ``partitions(n)``.
+
+    >>> schur_rows(3, [SchurExpansion.single((2, 1), 5)]).tolist()
+    [[0, 5, 0]]
+    """
+    index = _partition_index(n)
+    rows = [[0] * len(index) for _ in expansions]
+    for row, e in zip(rows, expansions):
+        for mu, c in e.coeffs:
+            row[index[mu]] = c
+    return _int_array(rows).reshape(len(rows), len(index))
+
+
+def schur_f_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """Fundamental-basis vectors of Schur coefficient rows (indexed like
+    ``partitions(n)``): one product with the descent-count matrix."""
+    return _exact_matmul(rows, descent_count_table(n).matrix)
 
 
 def schur_f_vector(e: SchurExpansion) -> QSym:
     """Fundamental-basis vector of a Schur expansion via the
     descent-count table."""
-    table = descent_count_table(e.n)
-    v = [0] * _width(e.n)
-    for mu, c in e.coeffs:
-        col = table.counts[mu]
-        for mask, d in enumerate(col):
-            if d:
-                v[mask] += c * d
-    return QSym(e.n, tuple(v))
+    return QSym(e.n, tuple(schur_f_rows(e.n, schur_rows(e.n, [e]))[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +691,47 @@ class DescentCountTable:
         return self.counts[tuple(mu)][d.mask]
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The columns stacked as a ``P x 2**(n-1)`` array, rows in
+        ``partitions(n)`` order (an entry is at most ``n!``, so ``int64``
+        is exact)."""
+        return np.array([self.counts[mu] for mu in partitions(self.n)], np.int64)
+
+    @cached_property
     def kostka(self) -> tuple[tuple[int, ...], ...]:
         """``kostka[i][j]`` = K_{mu lambda}, the number of semistandard
         tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
         ``j``-th partitions of ``n``: the sum of the ``mu`` column over the
         subsets of the partial sums of ``lambda``, as one integer matrix
-        product (an entry is at most ``n!``, so ``int64`` is exact)."""
-        parts = partitions(self.n)
-        counts = np.array([self.counts[mu] for mu in parts], np.int64)
-        bounds = np.array([composition_boundary_mask(lam) for lam in parts])
-        subsets = np.arange(counts.shape[1])[:, None] & ~bounds == 0
-        return tuple(map(tuple, (counts @ subsets.astype(np.int64)).tolist()))
+        product."""
+        return tuple(map(tuple, (self.matrix @ _subsets(self.n)).tolist()))
+
+    @cached_property
+    def kostka_inverse(self) -> np.ndarray:
+        """The inverse of the unitriangular Kostka matrix, by back-substitution
+        in Python ints: row ``i`` is the ``i``-th unit row minus the later
+        rows weighted by row ``i`` of K."""
+        kostka = np.array(self.kostka, object)
+        size = len(kostka)
+        inverse = np.identity(size, object)
+        for i in reversed(range(size)):
+            inverse[i] -= kostka[i, i + 1 :] @ inverse[i + 1 :]
+        return _int_array(inverse.tolist())
+
+    @cached_property
+    def expander(self) -> np.ndarray:
+        """The ``2**(n-1) x P`` matrix that takes a vector to its candidate
+        Schur coefficients: its monomial coefficient at each partition (the
+        sum over the subsets of the partial sums) times the inverse Kostka
+        matrix."""
+        return _exact_matmul(_subsets(self.n), self.kostka_inverse)
+
+
+def _subsets(n: int) -> np.ndarray:
+    """``[m, j]`` is 1 when mask ``m`` is a subset of the partial sums of
+    the ``j``-th partition of ``n``, and 0 otherwise."""
+    bounds = np.array([composition_boundary_mask(lam) for lam in partitions(n)])
+    return (np.arange(_width(n))[:, None] & ~bounds == 0).astype(np.int64)
 
 
 def cache_dir() -> Path:

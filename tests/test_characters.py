@@ -15,6 +15,7 @@ from schurgrid.characters import (
     character_table,
     class_size,
     kronecker,
+    kronecker_rows,
     mn_character,
     schur_from_char_vector,
     sign_twist,
@@ -23,9 +24,12 @@ from schurgrid.characters import (
 )
 from schurgrid.permutations import des_set, inverse
 from schurgrid.qsym import (
+    QSym,
     SchurExpansion,
     qsym_of,
     schur_expand,
+    schur_f_vector,
+    schur_rows,
     skew_schur_f_vector,
 )
 from schurgrid.tableaux import conjugate_partition, partitions, straight_shape
@@ -169,6 +173,44 @@ def test_kronecker_dimensions_multiply():
                     SchurExpansion.single(lam), SchurExpansion.single(nu)
                 )
                 assert prod.dimension() == tableau_count(lam) * tableau_count(nu)
+
+
+def test_kronecker_matches_triple_character_sums():
+    # g(lam, mu, nu) = (1/n!) * sum over the words w of S_n of
+    # chi^lam(w) chi^mu(w) chi^nu(w), each cycle type read off the word.
+    for n in range(6):
+        parts = partitions(n)
+        types = [cycle_type_of(w) for w in itertools.permutations(range(1, n + 1))]
+        chi = {(lam, t): mn_character(lam, t) for lam in parts for t in set(types)}
+        rows = schur_rows(n, [SchurExpansion.single(lam) for lam in parts])
+        for mu in parts:
+            batched = kronecker_rows(rows, SchurExpansion.single(mu))
+            for i, lam in enumerate(parts):
+                single = kronecker(SchurExpansion.single(lam), SchurExpansion.single(mu))
+                for j, nu in enumerate(parts):
+                    total = sum(chi[lam, t] * chi[mu, t] * chi[nu, t] for t in types)
+                    g, rest = divmod(total, math.factorial(n))
+                    assert rest == 0
+                    assert single.coeff(nu) == batched[i, j] == g, (lam, mu, nu)
+
+
+def test_exact_beyond_int64():
+    big = 2**70
+    s3, s21 = SchurExpansion.single((3,)), SchurExpansion.single((2, 1))
+    assert schur_expand(schur_f_vector(s3.scale(big) + s21)).serialize() == (
+        "1180591620717411303424*s[3] + s[2,1]"
+    )
+    assert kronecker(s21.scale(big), s21).serialize() == (
+        "1180591620717411303424*s[3] + 1180591620717411303424*s[2,1]"
+        " + 1180591620717411303424*s[1,1,1]"
+    )
+    assert schur_expand(QSym(0, (3,))).serialize() == "3*s[]"
+    empty = SchurExpansion.single((), 2)
+    assert kronecker(empty, empty).serialize() == "4*s[]"
+    assert schur_expand(QSym(3, (big, big + 1, 0, 0))).serialize() == (
+        "NotSymmetric(n=3; monomial coefficient at {1} is 2361183241434822606849"
+        " but at {2} is 1180591620717411303424)"
+    )
 
 
 # ---------------------------------------------------------------------------

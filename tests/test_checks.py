@@ -33,6 +33,7 @@ from schurgrid.permsets import (
     product_qsym,
 )
 from schurgrid.permutations import DescSet, format_words
+from schurgrid.qsym import SchurExpansion
 from schurgrid.tableaux import StandardTableau, strip_chain_shape
 
 SMOKE_N = 3
@@ -243,6 +244,44 @@ def test_batched_conj_10_3_reports_the_first_pairwise_refutation(monkeypatch):
         assert runner(n) == expected
     record = scan_conjecture("conj-10-3", 4).records[-1]
     assert (record.verdict, record.cases, record.witness) == _first_noncommuting_pair(3)
+
+
+def test_planted_ribbon_fault_is_reported_at_the_same_case(monkeypatch):
+    # The ribbon of {2} gains an extra s[4]: the batched character side must
+    # name the case, and print the two sides, that a pair-by-pair loop does.
+    ribbon = checks._ribbon_schur
+
+    def planted(n, d):
+        e = ribbon(n, d)
+        return e + SchurExpansion.single((n,)) if d == DescSet.of(n, [2]) else e
+
+    monkeypatch.setattr(checks, "_ribbon_schur", planted)
+    report = run_check("thm-main-2", 4)
+    assert (report.status, report.lhs, report.rhs, report.notes) == (
+        "refuted",
+        "n=4; F{1} + 2*F{2} + F{3} + F{1,3}",
+        "n=4; F{} + F{1} + 2*F{2} + F{3} + F{1,3}",
+        "counterexample at case 'knuth[1234] * D{2}'",
+    )
+    report = run_check("thm-main-1", 4)
+    assert (report.status, report.lhs, report.rhs, report.notes) == (
+        "refuted",
+        "s[4] + s[3,1] + s[2,2]",
+        "2*s[4] + s[3,1] + s[2,2]",
+        "counterexample at case 'R{2} two routes'",
+    )
+
+
+def test_expanded_battery_follows_a_patched_battery(monkeypatch):
+    # The battery is expanded once per degree, but not across a patch of
+    # fine_battery.
+    battery, rows = checks._expanded_battery(3)
+    assert [e for _, _, e in battery] == [SchurExpansion.from_row(3, row) for row in rows]
+    full = checks.fine_battery
+    monkeypatch.setattr(checks, "fine_battery", lambda n: full(n)[:1])
+    assert [name for name, _, _ in checks._expanded_battery(3)[0]] == [battery[0][0]]
+    monkeypatch.undo()
+    assert checks._expanded_battery(3)[0] is battery
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import schurgrid
+from schurgrid import cli
 from schurgrid.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +61,34 @@ def test_grid_enum_accepts_leading_dash_matrix(capsys):
     code, out, _ = run(capsys, ["grid", "enum", "-+", "--n", "3"])
     assert code == EXIT_OK
     assert out == "123\n213\n312\n321\n"
+
+
+def test_repeated_calls_answer_like_first_calls(capsys):
+    # The parser is built once per process; each call must print and exit
+    # exactly as it does on a freshly built parser.
+    calls = [
+        ["qsym"],
+        ["qsym", "C(4)", "--schur"],
+        ["grid", "enum", "+0/0-", "--n", "3"],
+        ["check", "prop-R2", "--n", "4"],
+        ["list-checks"],
+        ["qsym"],
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, argv)
+        return code, re.sub(r"\[\d+ ms\]", "[ms]", out), err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    parser = cli._build_parser()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._build_parser() is parser
+    assert fresh[0] == fresh[-1]
+    assert fresh[0][0] == EXIT_USAGE and fresh[0][2].startswith("error: ")
+    assert [code for code, _, _ in fresh[1:-1]] == [EXIT_OK] * 4
 
 
 @pytest.mark.parametrize("n", [17, 300])

@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurgrid import qsym
-from schurgrid.permutations import DescSet, des_set, des_mask, shuffle_words
+from schurgrid.permutations import (
+    DescSet,
+    composition_boundary_mask,
+    des_mask,
+    des_set,
+    shuffle_words,
+    sorted_composition_key,
+)
 from schurgrid.qsym import (
     NotSymmetric,
     QSym,
@@ -268,6 +275,74 @@ def test_schur_expand_decides_symmetry_like_monomials(q):
     assert isinstance(result, NotSymmetric) == (not is_symmetric_by_monomials(q))
     if isinstance(result, SchurExpansion):
         assert schur_f_vector(result) == q
+
+
+def loop_schur_expand(q):
+    """The loop route that the array route replaced, kept as the reference:
+    subset sums mask by mask, back-substitution against the Kostka matrix,
+    the rebuilt vector compared, and the first mask whose monomial
+    coefficient differs from the first one of its rearrangement class."""
+    n, table = q.n, descent_count_table(q.n)
+    mono = list(q.coeffs)
+    for bit in range(n - 1):
+        for mask in range(len(mono)):
+            if mask >> bit & 1:
+                mono[mask] += mono[mask ^ 1 << bit]
+    coeffs = []
+    for j, lam in enumerate(partitions(n)):
+        coeffs.append(
+            mono[composition_boundary_mask(lam)]
+            - sum(c * table.kostka[i][j] for i, c in enumerate(coeffs))
+        )
+    e = SchurExpansion.from_dict(n, dict(zip(partitions(n), coeffs)))
+    rebuilt = [0] * len(mono)
+    for mu, c in e.coeffs:
+        for mask, d in enumerate(table.counts[mu]):
+            rebuilt[mask] += c * d
+    if tuple(rebuilt) == q.coeffs:
+        return mono, e.serialize()
+    seen = {}
+    for mask, value in enumerate(mono):
+        first = seen.setdefault(sorted_composition_key(DescSet(n, mask)), mask)
+        if mono[first] != value:
+            witness = NotSymmetric(n, (DescSet(n, first), DescSet(n, mask)), (mono[first], value))
+            return mono, witness.serialize()
+    raise AssertionError("a vector outside the Schur span is symmetric")
+
+
+wide_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def wide_qsym_vectors(draw):
+    """Vectors with coefficients on both sides of 2**63: dense random ones,
+    and Schur expansions with at most one coordinate bumped."""
+    n = draw(st.integers(0, 6))
+    width = 1 << max(n - 1, 0)
+    if draw(st.booleans()):
+        return QSym(n, tuple(draw(st.lists(wide_ints, min_size=width, max_size=width))))
+    e = SchurExpansion.from_dict(n, {mu: draw(wide_ints) for mu in partitions(n)})
+    mask = draw(st.integers(0, width - 1))
+    return schur_f_vector(e) + QSym.single(n, DescSet(n, mask), draw(wide_ints))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_qsym_vectors())
+def test_schur_expand_matches_the_loop_route(q):
+    mono, text = loop_schur_expand(q)
+    assert monomial_coefficients(q) == mono
+    assert schur_expand(q).serialize() == text
+    assert is_symmetric_by_monomials(q) == (not text.startswith("NotSymmetric"))
+
+
+def test_rearrangement_classes_match_sorted_compositions():
+    for n in range(11):
+        first = {}
+        expected = [
+            first.setdefault(sorted_composition_key(DescSet(n, m)), m)
+            for m in range(1 << max(n - 1, 0))
+        ]
+        assert qsym._class_reps(n).tolist() == expected
 
 
 def test_disconnected_shape_multiplies():
