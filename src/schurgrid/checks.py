@@ -52,11 +52,8 @@ from .grids import (
 from .permutations import (
     DescSet,
     _descent_masks,
-    des_set,
-    distinct_words,
     format_perm,
     format_words,
-    inverse,
     longest_element,
     parse_perm,
 )
@@ -98,14 +95,11 @@ from .qsym import (
 )
 from .tableaux import (
     SkewShape,
-    enumerate_syt,
     is_partition,
     knuth_classes,
     partitions,
     ribbon_shape,
-    rotation_bijection,
     strip_chain_shape,
-    syt_des,
     syt_row_words,
 )
 
@@ -608,10 +602,10 @@ def _run_arc_formula(led: _CaseLedger, n: int) -> None:
 def _rotation_images(
     words: np.ndarray, j: DescSet, shape: SkewShape
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``rotation_bijection`` on every row at once: whether ``p = sigma o
-    c**k`` (``k`` the position of ``n``, mod ``n``) decomposes over ``j``,
-    and the row word of the image, whose column ``c`` holds ``sigma^-1[c] +
-    k`` (mod ``n``) in the row of that column."""
+    """``tableaux.rotation_bijection`` on every row at once: whether ``p =
+    sigma o c**k`` (``k`` the position of ``n``, mod ``n``) decomposes over
+    ``j``, and the row word of the image, whose column ``c`` holds
+    ``sigma^-1[c] + k`` (mod ``n``) in the row of that column."""
     m, n = words.shape
     p, states = words.astype(np.intp) - 1, np.arange(m)[:, None]
     k = (np.argmax(p == n - 1, axis=1) + 1) % n
@@ -625,52 +619,49 @@ def _rotation_images(
     return decomposes, images
 
 
-def _rotation_audit_holds(words: np.ndarray, j: DescSet, shape: SkewShape) -> bool:
-    """The audit of :func:`_first_rotation_fault` on the whole word matrix:
-    images from the permutations, tableaux from the shape.  A row word's
-    descents are the rises of its rows; row 1 is the top corner alone."""
-    n = words.shape[1]
-    if shape != strip_chain_shape(n, j):
-        return False
-    decomposes, images = _rotation_images(words, j, shape)
-    unique, tableaux = distinct_words(images)[0], syt_row_words(shape)
-    return bool(
-        decomposes.all()
-        and np.array_equal(
-            _descent_masks(n, decomposes.shape, lambda c: -images[:, c].astype(np.intp)),
-            _descent_masks(n, decomposes.shape, lambda c: words[:, c]),
-        )
-        and np.array_equal(np.argmax(images == 1, axis=1), np.argmax(words == n, axis=1))
-        and len(unique) == len(words)
-        and np.array_equal(unique, tableaux[np.lexsort(tableaux.T[::-1])])
-    )
-
-
-def _first_rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | None:
-    """The first row of ``words`` on which ``rotation_bijection`` is not a
+def _rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | None:
+    """The first row of ``words`` on which the rotation bijection is not a
     descent-preserving, corner-tracking injection into the tableaux of
-    ``shape``, or the tableaux it misses, or None; one call per row."""
-    n = words.shape[1]
-    images: set = set()
-    for p in map(tuple, words.tolist()):
-        try:
-            t = rotation_bijection(p, j)
-        except ValueError as exc:
-            return f"{format_perm(p)}: map undefined ({exc})"
-        if t.shape != shape:
-            return f"{format_perm(p)}: image has wrong shape"
-        if syt_des(t) != des_set(p):
-            return f"{format_perm(p)}: descent set not preserved"
-        if t.entry_at(1, n) != inverse(p)[n - 1]:
-            return f"{format_perm(p)}: top corner is not the position of {n}"
-        if t in images:
-            return f"{format_perm(p)}: image repeated (not injective)"
-        images.add(t)
-    if images != (tableaux := set(enumerate_syt(shape))):
-        return (
-            f"image misses {len(tableaux) - len(images)} of "
-            f"{len(tableaux)} tableaux (not surjective)"
-        )
+    ``shape``, or the tableaux it misses, or None.
+
+    Each condition is one array over the rows, listed in order of blame;
+    images and tableaux are row words on the strip chain of ``j``, keyed
+    by their bytes, which sort as the rows do.  A row word's descents are
+    the rises of its rows; row 1 is the top corner alone."""
+    m, n = words.shape
+    chain = strip_chain_shape(n, j)
+    decomposes, images = _rotation_images(words, j, chain)
+    tableaux = syt_row_words(chain)
+    known = np.ascontiguousarray(tableaux[np.lexsort(tableaux.T[::-1])]).view(f"S{n}")[:, 0]
+    keys = np.ascontiguousarray(images).view(f"S{n}")[:, 0]
+    found = known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
+    order = np.lexsort(images.T[::-1])  # stable: a repeat sorts after its first row
+    repeated = np.zeros(m, bool)
+    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    faults = [
+        (~decomposes, "map undefined (permutation does not decompose over the"
+         " given strip chain index)"),
+        (~found, "map undefined (columns must strictly increase)"),
+        (np.full(m, shape != chain), "image has wrong shape"),
+        (
+            _descent_masks(n, (m,), lambda c: -images[:, c].astype(np.intp))
+            != _descent_masks(n, (m,), lambda c: words[:, c]),
+            "descent set not preserved",
+        ),
+        (
+            np.argmax(images == 1, axis=1) != np.argmax(words == n, axis=1),
+            f"top corner is not the position of {n}",
+        ),
+        (repeated, "image repeated (not injective)"),
+    ]
+    failing = np.array([fault for fault, _ in faults], bool)
+    if failing.any():
+        row = int(np.argmax(failing.any(axis=0)))
+        reason = faults[int(np.argmax(failing[:, row]))][1]
+        return f"{format_perm(tuple(words[row].tolist()))}: {reason}"
+    # No row failed, so the images are m distinct tableaux of the shape.
+    if m < len(known):
+        return f"image misses {len(known) - m} of {len(known)} tableaux (not surjective)"
     return None
 
 
@@ -693,9 +684,7 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
             "sets",
         )
         audit = "bijective, descent-preserving, corner-tracking"
-        # The loop runs only to name a fault that the array audit found.
-        holds = _rotation_audit_holds(weak.words, dn, shape)
-        problem = None if holds else _first_rotation_fault(weak.words, dn, shape)
+        problem = _rotation_fault(weak.words, dn, shape)
         led.add(f"J={d.braces()} bijection audit", problem or audit, audit)
         led.add(
             f"J={d.braces()} strip chain tableaux",
@@ -1412,9 +1401,9 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
 
     Each degree's verdict is persisted once (append-only); reruns recompute
     and must reproduce the stored verdict, case count and witness, otherwise
-    they raise.  The scan
-    stops at the first refuting degree or when the cost model exceeds the
-    work budget.
+    they raise.  The scan stops at the first refuting degree, when the cost
+    model exceeds the work budget, or at the degree whose grid enumeration
+    the grid budget refuses; the last two keep the frontier reached.
     """
     spec = _SCANS.get(conj_id)
     if spec is None:
@@ -1434,7 +1423,11 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
             )
             break
         start = time.perf_counter()
-        verdict, cases, found = spec.runner(n)
+        try:
+            verdict, cases, found = spec.runner(n)
+        except GridResourceError as exc:
+            notes = f"stopped at n={n}: grid enumeration over budget: {exc}"
+            break
         elapsed = int((time.perf_counter() - start) * 1000)
         record = ScanRecord(
             conj_id,

@@ -55,7 +55,6 @@ __all__ = [
     "complement_matrix",
     "rotate180_matrix",
     "reflect_matrix_horizontal",
-    "diagonal_reflect_matrix",
     "one_column_matrix",
     "stack_matrix",
     "star_product",
@@ -170,22 +169,6 @@ def rotate180_matrix(m: GridMatrix) -> GridMatrix:
 def reflect_matrix_horizontal(m: GridMatrix) -> GridMatrix:
     """Flip left-right and negate entries (reverse of the class)."""
     return GridMatrix(tuple(tuple(-e for e in reversed(row)) for row in m.rows))
-
-
-def diagonal_reflect_matrix(m: GridMatrix) -> GridMatrix:
-    """Reflect across the main diagonal (class of inverses): the new
-    (a, b) entry is the old (rows+1-b, cols+1-a) entry.
-
-    >>> format_grid_matrix(diagonal_reflect_matrix(parse_grid_matrix("+-/0+")))
-    '+-/0+'
-    """
-    k, l = m.n_rows, m.n_cols
-    return GridMatrix(
-        tuple(
-            tuple(m.entry(k + 1 - b, l + 1 - a) for b in range(1, k + 1))
-            for a in range(1, l + 1)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

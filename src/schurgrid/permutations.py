@@ -8,8 +8,6 @@ descent position).
 
 >>> des_set(parse_perm("62354781")).braces()
 '{1,4,7}'
->>> format_perm(vertical_rotate(parse_perm("12345"), 1))
-'23451'
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -42,8 +38,6 @@ __all__ = [
     "cdes_count",
     "inverse",
     "compose",
-    "vertical_rotate",
-    "horizontal_rotate",
     "reverse",
     "complement",
     "standardize",
@@ -54,8 +48,6 @@ __all__ = [
     "sorted_composition_key",
     "is_mu_modal_desset",
     "is_mu_modal_mask",
-    "shuffle_words",
-    "shuffles",
     "distinct_words",
     "format_words",
     "PermMultiset",
@@ -272,31 +264,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
-def vertical_rotate(p: Perm, k: int) -> Perm:
-    """Add ``k`` to every value modulo ``n`` (values stay in ``1..n``).
-
-    >>> vertical_rotate((1, 2, 3, 4, 5), 1)
-    (2, 3, 4, 5, 1)
-    """
-    n = len(p)
-    if n == 0:
-        return p
-    return tuple((v - 1 + k) % n + 1 for v in p)
-
-
-def horizontal_rotate(p: Perm, k: int) -> Perm:
-    """Cyclic position shift left by ``k``: the composition of ``p`` with the
-    k-th power of the n-cycle.
-
-    >>> horizontal_rotate((2, 3, 1, 4, 5), 1)
-    (3, 1, 4, 5, 2)
-    """
-    n = len(p)
-    if n == 0:
-        return p
-    return tuple(p[(i + k) % n] for i in range(n))
-
-
 def reverse(p: Perm) -> Perm:
     """Read the word backwards (right multiplication by the longest element)."""
     return p[::-1]
@@ -409,61 +376,6 @@ def is_mu_modal_mask(mask: int, n: int, mu: Composition) -> bool:
             return False
         lo = hi + 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# Shuffles
-# ---------------------------------------------------------------------------
-
-
-def shuffle_words(u: Sequence[int], v: Sequence[int]) -> list[tuple[int, ...]]:
-    """All interleavings of two words on disjoint letter sets.
-
-    The result has exactly ``binomial(|u|+|v|, |u|)`` distinct words.
-
-    >>> sorted(shuffle_words((1, 2), (3,)))
-    [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
-    """
-    u = tuple(u)
-    v = tuple(v)
-    if set(u) & set(v):
-        raise ValueError("letter sets overlap")
-    n = len(u) + len(v)
-    out = []
-    for positions in combinations(range(n), len(u)):
-        word = [0] * n
-        taken = set(positions)
-        it_u = iter(u)
-        it_v = iter(v)
-        for i in range(n):
-            word[i] = next(it_u) if i in taken else next(it_v)
-        out.append(tuple(word))
-    assert len(out) == comb(n, len(u))
-    return out
-
-
-def shuffles(
-    a: Mapping[tuple[int, ...], int] | Iterable[tuple[int, ...]],
-    b: Mapping[tuple[int, ...], int] | Iterable[tuple[int, ...]],
-) -> dict[tuple[int, ...], int]:
-    """Shuffle two (multi)sets of words on disjoint letter sets.
-
-    Inputs may be plain iterables (multiplicity one each) or mappings
-    word -> multiplicity; the result maps each interleaving to its total
-    multiplicity.
-
-    >>> shuffles({(1, 2): 2}, {(3,): 1})
-    {(1, 2, 3): 2, (1, 3, 2): 2, (3, 1, 2): 2}
-    """
-    a_items = list(a.items()) if isinstance(a, Mapping) else [(w, 1) for w in a]
-    b_items = list(b.items()) if isinstance(b, Mapping) else [(w, 1) for w in b]
-    out: dict[tuple[int, ...], int] = {}
-    for u, mu in a_items:
-        for v, mv in b_items:
-            weight = mu * mv
-            for word in shuffle_words(u, v):
-                out[word] = out.get(word, 0) + weight
-    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -43,21 +43,16 @@ import numpy as np
 from .permutations import (
     CollectionLike,
     DescSet,
-    Perm,
     _descent_masks,
     _mult_dtype,
     as_multiset,
     composition_boundary_mask,
-    des_mask,
-    shuffle_words,
 )
 from .tableaux import Partition, SkewShape, partitions
 
 __all__ = [
     "QSym",
     "qsym_of",
-    "qsym_mul",
-    "descent_class_representative",
     "SchurExpansion",
     "NotSymmetric",
     "schur_expand",
@@ -244,75 +239,6 @@ def qsym_of(elems: CollectionLike, n: int | None = None) -> QSym:
     acc = np.zeros(_width(elems.n), mults.dtype)
     np.add.at(acc, _descent_masks(elems.n, mults.shape, lambda c: words[:, c]), mults)
     return QSym(elems.n, tuple(acc.tolist()))
-
-
-# ---------------------------------------------------------------------------
-# Product in the fundamental basis
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def descent_class_representative(n: int, mask: int) -> Perm:
-    """A canonical permutation with the given descent set: blocks are
-    increasing runs, and value blocks are assigned from the back so each
-    block dominates the next.
-
-    >>> descent_class_representative(3, DescSet.of(3, [1]).mask)
-    (3, 1, 2)
-    """
-    d = DescSet(n, mask)
-    boundaries = [0, *d.members, n]
-    sizes = [boundaries[i + 1] - boundaries[i] for i in range(len(boundaries) - 1)]
-    word: list[int] = []
-    consumed = 0
-    for size in sizes:
-        start = n - consumed - size + 1
-        word.extend(range(start, start + size))
-        consumed += size
-    out = tuple(word)
-    assert des_mask(out) == mask
-    return out
-
-
-@lru_cache(maxsize=None)
-def _fundamental_pair_product(
-    na: int, mask_a: int, nb: int, mask_b: int
-) -> tuple[int, ...]:
-    """Dense degree-(na+nb) vector of the product of two basis elements,
-    realized by shuffling canonical representatives on disjoint alphabets."""
-    rep_a = descent_class_representative(na, mask_a)
-    rep_b = tuple(v + na for v in descent_class_representative(nb, mask_b))
-    return qsym_of(shuffle_words(rep_a, rep_b)).coeffs
-
-
-def qsym_mul(a: QSym, b: QSym) -> QSym:
-    """Product of quasisymmetric functions (degrees add).
-
-    >>> one = QSym.unit(1)
-    >>> (one * one).serialize()
-    'n=2; F{} + F{1}'
-    """
-    if a.n == 0:
-        return b.scale(a.coeffs[0])
-    if b.n == 0:
-        return a.scale(b.coeffs[0])
-    n = a.n + b.n
-    acc = [0] * _width(n)
-    for mask_a, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for mask_b, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            vec = _fundamental_pair_product(a.n, mask_a, b.n, mask_b)
-            w = ca * cb
-            for m, c in enumerate(vec):
-                if c:
-                    acc[m] += w * c
-    return QSym(n, tuple(acc))
-
-
-QSym.__mul__ = lambda self, other: qsym_mul(self, other)  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------

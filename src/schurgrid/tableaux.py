@@ -1,15 +1,14 @@
-"""Partitions, skew shapes, standard Young tableaux, RSK, and two
-descent-preserving bijections used by the verification harness.
+"""Partitions, skew shapes, standard Young tableaux, RSK, and the
+descent-preserving rotation bijection onto strip chain tableaux.
 
 Shapes are stored in English notation: rows are numbered from the top
 starting at 1, and a skew shape is an (outer, inner) pair of partitions
-with ``inner`` contained in ``outer`` componentwise.  Three shape builders
-cover everything the package needs:
+with ``inner`` contained in ``outer`` componentwise.  Two shape functions
+cover everything the package needs besides straight shapes:
 
 - :func:`ribbon_shape` -- the connected ribbon encoding a descent set;
 - :func:`strip_chain_shape` -- corner-touching horizontal strips whose top
-  right cell is a single box;
-- :func:`disconnected_shape` -- two straight shapes touching at one corner.
+  right cell is a single box.
 
 >>> ribbon_shape(9, DescSet.of(9, [1, 3, 5, 6])).row_sizes()
 (3, 1, 2, 2, 1)
@@ -51,7 +50,6 @@ __all__ = [
     "straight_shape",
     "ribbon_shape",
     "strip_chain_shape",
-    "disconnected_shape",
     "StandardTableau",
     "enumerate_syt",
     "syt_row_words",
@@ -60,7 +58,6 @@ __all__ = [
     "insertion_tableau",
     "knuth_classes",
     "knuth_class_words",
-    "shuffle_recording_map",
     "rotation_bijection",
 ]
 
@@ -252,25 +249,6 @@ def strip_chain_shape(n: int, j: DescSet) -> SkewShape:
     while inner and inner[-1] == 0:
         inner.pop()
     return SkewShape(tuple(outer), tuple(inner))
-
-
-def disconnected_shape(lower_left: Sequence[int], upper_right: Sequence[int]) -> SkewShape:
-    """Two straight shapes placed so the upper-right corner of the first
-    touches the lower-left corner of the second.
-
-    >>> disconnected_shape((2, 1), (3, 2))
-    SkewShape(outer=(5, 4, 2, 1), inner=(2, 2))
-    """
-    mu = _check_partition(lower_left)
-    nu = _check_partition(upper_right)
-    if not mu:
-        return straight_shape(nu)
-    if not nu:
-        return straight_shape(mu)
-    shift = mu[0]
-    outer = tuple(part + shift for part in nu) + mu
-    inner = (shift,) * len(nu)
-    return SkewShape(outer, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -540,52 +518,8 @@ def _inverse_rsk_classes(
 
 
 # ---------------------------------------------------------------------------
-# Descent-preserving bijections
+# Descent-preserving rotation bijection
 # ---------------------------------------------------------------------------
-
-
-def shuffle_recording_map(p: Perm, k: int) -> StandardTableau:
-    """Skew recording tableau of the unique decomposition of ``p`` as an
-    interleaving of its letters ``1..k`` with its letters ``k+1..n``.
-
-    The letters ``<= k`` form a word ``sigma`` and the rest standardize to
-    ``tau``; the result relabels the recording tableau of ``sigma`` by the
-    positions of small letters and that of ``tau`` by the positions of
-    large letters, placed on the two-component shape.  The descent set of
-    the output equals the descent set of ``p``.
-
-    >>> t = shuffle_recording_map((1, 6, 7, 8, 3, 2, 4, 5), 3)
-    >>> print(t.text())
-    · · 2 3 4
-    · · 7 8
-    1 5
-    6
-    """
-    n = len(p)
-    if not 0 <= k <= n:
-        raise ValueError(f"split point {k} outside 0..{n}")
-    small_positions = [i + 1 for i, v in enumerate(p) if v <= k]
-    large_positions = [i + 1 for i, v in enumerate(p) if v > k]
-    sigma = tuple(v for v in p if v <= k)
-    tau = tuple(v - k for v in p if v > k)
-    rec_parts: list[tuple[StandardTableau, list[int]]] = []
-    if sigma:
-        rec_parts.append((rsk(sigma)[1], small_positions))
-    if tau:
-        rec_parts.append((rsk(tau)[1], large_positions))
-    if not rec_parts:
-        return StandardTableau(SkewShape((), ()), ())
-    if len(rec_parts) == 1:
-        rec, positions = rec_parts[0]
-        rows = tuple(
-            tuple(positions[e - 1] for e in row) for row in rec.rows
-        )
-        return StandardTableau(rec.shape, rows)
-    (rec_s, pos_s), (rec_t, pos_t) = rec_parts
-    shape = disconnected_shape(rec_s.shape.outer, rec_t.shape.outer)
-    upper = tuple(tuple(pos_t[e - 1] for e in row) for row in rec_t.rows)
-    lower = tuple(tuple(pos_s[e - 1] for e in row) for row in rec_s.rows)
-    return StandardTableau(shape, upper + lower)
 
 
 def rotation_bijection(p: Perm, j: DescSet) -> StandardTableau:

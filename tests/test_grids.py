@@ -17,7 +17,6 @@ from schurgrid.grids import (
     arc_matrices,
     complement_matrix,
     consistent_orientation,
-    diagonal_reflect_matrix,
     enumerate_grid,
     fig_matrix,
     format_grid_matrix,
@@ -124,10 +123,11 @@ def test_matrix_transforms_act_on_classes():
 
 
 def test_diagonal_reflection_inverts_patterns():
-    for text in ("+0/0+", "0+/-0/+-", "+-"):
-        m = parse_grid_matrix(text)
-        base = enumerate_grid(m, 4)
-        inverted = enumerate_grid(diagonal_reflect_matrix(m), 4)
+    # Reflecting a matrix across its main diagonal, entry (a, b) from entry
+    # (rows+1-b, cols+1-a), gives the class of inverses.
+    for text, reflected in (("+0/0+", "+0/0+"), ("0+/-0/+-", "-0+/+-0"), ("+-", "-/+")):
+        base = enumerate_grid(parse_grid_matrix(text), 4)
+        inverted = enumerate_grid(parse_grid_matrix(reflected), 4)
         assert inverted == frozenset(inverse(w) for w in base)
 
 

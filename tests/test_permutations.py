@@ -1,4 +1,4 @@
-"""Permutation layer: words, descent statistics, symmetries, shuffles.
+"""Permutation layer: words, descent statistics, symmetries.
 
 Oracles are independent brute-force recomputations inside the tests.
 """
@@ -23,7 +23,6 @@ from schurgrid.permutations import (
     des_mask,
     des_set,
     format_perm,
-    horizontal_rotate,
     identity,
     inverse,
     is_mu_modal_desset,
@@ -32,10 +31,7 @@ from schurgrid.permutations import (
     parse_perm,
     perm_from_word,
     reverse,
-    shuffle_words,
-    shuffles,
     standardize,
-    vertical_rotate,
 )
 
 perms = st.integers(1, 7).flatmap(
@@ -163,27 +159,6 @@ def test_compose_associative(w, rng):
     assert compose(compose(u, v), w) == compose(u, compose(v, w))
 
 
-@given(perms, st.integers(0, 10))
-def test_vertical_rotate_shifts_values(w, k):
-    n = len(w)
-    got = vertical_rotate(w, k)
-    assert got == tuple((x + k - 1) % n + 1 for x in w)
-
-
-@given(perms, st.integers(0, 10))
-def test_horizontal_rotate_shifts_positions(w, k):
-    n = len(w)
-    got = horizontal_rotate(w, k)
-    assert got == tuple(w[(i + k) % n] for i in range(n))
-
-
-@given(perms, st.integers(0, 6))
-def test_rotations_commute_with_inverse(w, k):
-    # Relabeling values of w is the same as relabeling positions of its
-    # inverse.
-    assert inverse(vertical_rotate(w, k)) == horizontal_rotate(inverse(w), -k % len(w))
-
-
 def test_reverse_complement_rotate180():
     w = parse_perm("25134")
     assert reverse(w) == (4, 3, 1, 5, 2)
@@ -276,32 +251,3 @@ def test_mu_modal_predicates_match_existence_oracle():
 def test_mu_modal_desset_validates_degree():
     with pytest.raises(ValueError):
         is_mu_modal_desset(DescSet.of(5, [2]), (3, 3))
-
-
-# ---------------------------------------------------------------------------
-# Shuffles
-# ---------------------------------------------------------------------------
-
-
-def brute_shuffles(u, v):
-    if not u:
-        return {v}
-    if not v:
-        return {u}
-    return {(u[0],) + w for w in brute_shuffles(u[1:], v)} | {
-        (v[0],) + w for w in brute_shuffles(u, v[1:])
-    }
-
-
-def test_shuffle_words_matches_brute_force():
-    u, v = (1, 4, 2), (5, 3)
-    assert set(shuffle_words(u, v)) == brute_shuffles(u, v)
-    assert len(list(shuffle_words((1, 2), (3, 4)))) == 6
-
-
-def test_shuffles_of_word_multisets():
-    got = shuffles({(1, 2): 2}, [(4, 3)])
-    assert set(got) == brute_shuffles((1, 2), (4, 3))
-    assert all(m == 2 for m in got.values())
-    overlapping = shuffles([(1, 3), (2, 3)], [(4,)])  # doubled inner words
-    assert sum(overlapping.values()) == 2 * 3

@@ -1,8 +1,8 @@
 """Fundamental-basis vectors, Schur expansion, and the descent-count table.
 
-Independent oracles: a brute monomial evaluator, the shuffle rule for
-products, skew-tableau enumeration, and inclusion-exclusion between weak
-and exact inverse descent classes.
+Independent oracles: a brute monomial evaluator, Knuth classes with one
+letter inserted for the Pieri rule, skew-tableau enumeration, and
+inclusion-exclusion between weak and exact inverse descent classes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from schurgrid.permutations import (
     composition_boundary_mask,
     des_mask,
     des_set,
-    shuffle_words,
     sorted_composition_key,
 )
 from schurgrid.qsym import (
@@ -36,7 +35,6 @@ from schurgrid.qsym import (
     monomial_coefficients,
     pieri_down,
     pieri_up,
-    qsym_mul,
     qsym_of,
     schur_expand,
     schur_f_vector,
@@ -44,8 +42,8 @@ from schurgrid.qsym import (
 )
 from schurgrid.tableaux import (
     SkewShape,
-    disconnected_shape,
     enumerate_syt,
+    knuth_classes,
     partitions,
     ribbon_shape,
     straight_shape,
@@ -156,31 +154,6 @@ def test_evaluate_monomials_is_linear():
         for expo, c in brute_fundamental_monomials(3, set(members), 3).items():
             brute[expo] = brute.get(expo, 0) + mult * c
     assert q.evaluate_monomials(3) == {e: c for e, c in sorted(brute.items()) if c}
-
-
-# ---------------------------------------------------------------------------
-# Products: the shuffle rule is the oracle
-# ---------------------------------------------------------------------------
-
-
-def test_qsym_mul_matches_shuffle_rule():
-    for a in range(1, 4):
-        for b in range(1, 4):
-            for u in itertools.permutations(range(1, a + 1)):
-                for v in itertools.permutations(range(1, b + 1)):
-                    shifted = tuple(x + a for x in v)
-                    expected = qsym_of(
-                        [w for w in shuffle_words(u, shifted)]
-                    )
-                    got = qsym_mul(qsym_of([u]), qsym_of([v]))
-                    assert got == expected, (u, v)
-
-
-def test_qsym_mul_unit_and_zero():
-    q = fundamental(3, [2])
-    assert qsym_mul(QSym(0, (5,)), q) == q.scale(5)
-    assert qsym_mul(q, QSym.zero(2)).is_zero()
-    assert (fundamental(1, []) * fundamental(1, [])).serialize() == "n=2; F{} + F{1}"
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +318,6 @@ def test_rearrangement_classes_match_sorted_compositions():
         assert qsym._class_reps(n).tolist() == expected
 
 
-def test_disconnected_shape_multiplies():
-    for asize in range(1, 4):
-        for bsize in range(1, 4):
-            for la in partitions(asize):
-                for lb in partitions(bsize):
-                    shape = disconnected_shape(la, lb)
-                    lhs = skew_schur_f_vector(shape)
-                    rhs = qsym_mul(
-                        skew_schur_f_vector(straight_shape(la)),
-                        skew_schur_f_vector(straight_shape(lb)),
-                    )
-                    assert lhs == rhs, (la, lb)
-
-
 def test_weak_classes_alternate_to_exact_ribbons():
     # Inclusion-exclusion over contained descent sets turns weak inverse
     # classes into the exact one, whose vector is the ribbon's.
@@ -388,12 +347,14 @@ def test_weak_classes_alternate_to_exact_ribbons():
 
 
 def test_pieri_up_matches_multiplication_by_one_box():
-    one = skew_schur_f_vector(straight_shape((1,)))
+    # Inserting the letter n+1 anywhere into the words of one Knuth class of
+    # shape mu shuffles it with a one-letter word: s_mu * s_1.
     for n in range(1, 6):
         for mu in partitions(n):
             lhs = pieri_up(SchurExpansion.single(mu))
+            words = knuth_classes(mu)[0]
             rhs = schur_expand(
-                qsym_mul(skew_schur_f_vector(straight_shape(mu)), one)
+                qsym_of([w[:i] + (n + 1,) + w[i:] for w in words for i in range(n + 1)], n + 1)
             )
             assert lhs == rhs
 

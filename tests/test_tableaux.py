@@ -20,7 +20,6 @@ from schurgrid.tableaux import (
     SkewShape,
     StandardTableau,
     conjugate_partition,
-    disconnected_shape,
     enumerate_syt,
     insertion_tableau,
     is_partition,
@@ -30,7 +29,6 @@ from schurgrid.tableaux import (
     ribbon_shape,
     rotation_bijection,
     rsk,
-    shuffle_recording_map,
     straight_shape,
     strip_chain_shape,
     syt_des,
@@ -174,8 +172,9 @@ def test_strip_chain_shape_validation():
 
 
 def test_disconnected_shape_counts():
-    shape = disconnected_shape((2, 1), (3, 2))
-    assert (shape.outer, shape.inner) == ((5, 4, 2, 1), (2, 2))
+    # Two straight shapes touching at one corner fill independently: the
+    # count is a binomial times the two hook-length counts.
+    shape = SkewShape((5, 4, 2, 1), (2, 2))
     a, b = (2, 1), (3, 2)
     expected = (
         math.comb(sum(a) + sum(b), sum(a))
@@ -223,7 +222,7 @@ def test_enumerate_syt_entries_are_valid_and_distinct():
         SkewShape((4, 3, 1), (2,)),
         SkewShape((3, 2, 1), (2, 2)),
         SkewShape((4, 4, 2), (3, 1)),
-        disconnected_shape((2, 1), (3, 2)),
+        SkewShape((5, 4, 2, 1), (2, 2)),
         strip_chain_shape(6, DescSet.of(6, [2, 3])),
         straight_shape((3, 2, 2)),
     ):
@@ -242,8 +241,8 @@ def shapes_up_to_seven():
         SkewShape((3, 2, 1), (2, 2)),
         SkewShape((4, 4, 2), (3, 1)),
         SkewShape((5, 3, 3), (2, 2)),
-        disconnected_shape((2, 1), (3, 2)),
-        disconnected_shape((1, 1, 1), (2,)),
+        SkewShape((5, 4, 2, 1), (2, 2)),
+        SkewShape((3, 1, 1, 1), (1,)),
         SkewShape((), ()),
     ]
     return out
@@ -333,17 +332,8 @@ def test_insertion_tableau_and_knuth_classes():
 
 
 # ---------------------------------------------------------------------------
-# Interleaving recording map and rotation bijection
+# Rotation bijection
 # ---------------------------------------------------------------------------
-
-
-def test_shuffle_recording_map_preserves_descents():
-    t = shuffle_recording_map((1, 6, 7, 8, 3, 2, 4, 5), 3)
-    assert t.text() == "· · 2 3 4\n· · 7 8\n1 5\n6"
-    for w in itertools.permutations(range(1, 7)):
-        for k in range(0, 7):
-            rec = shuffle_recording_map(w, k)
-            assert syt_des(rec) == des_set(w)
 
 
 def test_rotation_bijection_frozen_example():
