@@ -65,8 +65,8 @@ from .permsets import (
     cyclic_class,
     embed,
     fine_battery,
-    inv_descent_class,
-    inv_weak_descent_class,
+    inv_descent_classes,
+    inv_weak_descent_classes,
     j_class,
     k_class,
     left_unimodal_class,
@@ -476,8 +476,7 @@ def _scan(
 def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery, rows = _expanded_battery(n)
     bsets = [bset for _, bset, _ in battery]
-    for d in _dessets(n, n - 1):
-        rclass = inv_weak_descent_class(n, d)
+    for d, rclass in zip(_dessets(n, n - 1), inv_weak_descent_classes(n)):
         r_expansion = SchurExpansion.zero(n)
         for size in range(len(d.members) + 1):
             for chosen in itertools.combinations(d.members, size):
@@ -515,9 +514,10 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     for i, d in pairs:
         paired.setdefault(d, []).append(i)
     sides: dict[tuple[int, DescSet], tuple[str, str, str]] = {}
+    dclasses = inv_descent_classes(n)
     for d, idx in paired.items():
         found = _kronecker_sides(
-            n, [battery[i][1] for i in idx], rows[idx], inv_descent_class(n, d), _ribbon_schur(n, d)
+            n, [battery[i][1] for i in idx], rows[idx], dclasses[d.mask], _ribbon_schur(n, d)
         )
         sides.update(zip([(i, d) for i in idx], found))
     for i, d in pairs:
@@ -535,8 +535,7 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     dessets = _dessets(n, n - 1)
-    dclasses = [inv_descent_class(n, d) for d in dessets]
-    lhss = _qsyms(n, product_qsym_grid([cyc], dclasses)[0])
+    lhss = _qsyms(n, product_qsym_grid([cyc], inv_descent_classes(n))[0])
     for d, lhs in zip(dessets, lhss):
         rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
         led.add(f"D{d.braces()}", lhs.serialize(), rhs.serialize())
@@ -673,10 +672,11 @@ def _rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | No
 )
 def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
-    for d in _dessets(n - 1, n - 2):
+    classes = zip(inv_descent_classes(n - 1), inv_weak_descent_classes(n - 1))
+    for d, (dclass, rclass) in zip(_dessets(n - 1, n - 2), classes):
         dn = DescSet.of(n, d.members)
-        exact = multiset_product(embed(inv_descent_class(n - 1, d), n), cyc)
-        weak = multiset_product(embed(inv_weak_descent_class(n - 1, d), n), cyc)
+        exact = multiset_product(embed(dclass, n), cyc)
+        weak = multiset_product(embed(rclass, n), cyc)
         shape = strip_chain_shape(n, dn)
         led.add(
             f"J={d.braces()} products are sets",
@@ -1254,9 +1254,9 @@ def _scan_conj_10_1(n: int) -> tuple[str, int, str | None]:
 def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
     cyc = cyclic_class(n)
     cases = 0
-    for d in _dessets(n - 1, n - 2):
+    for d, dclass in zip(_dessets(n - 1, n - 2), inv_descent_classes(n - 1)):
         cases += 1
-        lifted = embed(inv_descent_class(n - 1, d), n)
+        lifted = embed(dclass, n)
         left = multiset_product(cyc, lifted)
         right = multiset_product(lifted, cyc)
         if not (left.is_set() and right.is_set()):
@@ -1279,7 +1279,7 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     battery = fine_battery(n)
     dessets = _dessets(n, n - 1)
-    dclasses = [inv_descent_class(n, d) for d in dessets]
+    dclasses = inv_descent_classes(n)
     bsets = [bset for _, bset in battery]
     left = product_qsym_grid(dclasses, bsets)
     right = product_qsym_grid(bsets, dclasses).transpose(1, 0, 2)

@@ -546,12 +546,11 @@ def _place(
     if rs > 0:
         val += rows[:, i]
     bumped = old + (old >= val[:, None])
-    out = np.empty((len(block), block.shape[1] + 1), block.dtype)
-    for p in range(level + 1):
-        left = bumped[:, p] if p < level else val
-        right = bumped[:, p - 1] if p else val
-        out[:, p] = np.where(p < pos, left, np.where(p > pos, right, val))
-    out[:, level + 1 :] = block[:, level:]
+    word = np.empty((len(block), level + 1), block.dtype)
+    new = np.arange(level + 1) == pos[:, None]
+    word[new] = val
+    word[~new] = bumped.ravel()
+    out = np.concatenate([word, block[:, level:]], axis=1)
     out[:, level + 1 + j] += 1
     out[:, level + 1 + nc + i] += 1
     return out

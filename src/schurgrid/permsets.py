@@ -75,6 +75,8 @@ __all__ = [
     "weak_descent_class",
     "inv_descent_class",
     "inv_weak_descent_class",
+    "inv_descent_classes",
+    "inv_weak_descent_classes",
     "knuth_class",
     "conjugacy_class",
     "inversion_sphere",
@@ -268,10 +270,51 @@ def _symmetric_words(n: int) -> np.ndarray:
     return words
 
 
+def _level_sets(n: int, words: np.ndarray, stat: np.ndarray, levels: int) -> list[PermSet]:
+    """The rows of ``words`` (distinct, in lexicographic order) at each value
+    ``0..levels-1`` of the integer statistic ``stat``, cut from one stable
+    sort by it: each level keeps the row order, so no slice is deduplicated."""
+    cuts = np.cumsum(np.bincount(stat, minlength=levels))[:-1]
+    rows = words[np.argsort(stat, kind="stable")]
+    return [PermSet._of_rows(n, level) for level in np.split(rows, cuts)]
+
+
 def _inverse_cdes(words: np.ndarray) -> np.ndarray:
     """Cyclic descents of the inverse of every row (see ``cdes_count``)."""
     inv = _inverses(words)
     return (inv > np.roll(inv, -1, axis=1)).sum(axis=1)
+
+
+def _inverses(words: np.ndarray) -> np.ndarray:
+    """Inverse of every row, by one scatter of the positions 1..n."""
+    k, n = words.shape
+    inv = np.empty_like(words)
+    inv[np.arange(k)[:, None], words - 1] = np.arange(1, n + 1)
+    return inv
+
+
+def _inverse_descent_masks(words: np.ndarray) -> np.ndarray:
+    """Descent mask of the inverse of every row."""
+    inv = _inverses(words)
+    return _descent_masks(words.shape[1], (len(inv),), lambda c: inv[:, c])
+
+
+def _cycle_type_levels(words: np.ndarray) -> np.ndarray:
+    """Index in ``partitions(n)`` of the cycle type of every row.  Position
+    i first comes home at t = the length L of its cycle, and a type puts
+    L * (its parts equal to L) <= n positions on cycles of length L, so the
+    sum of (n + 1) ** L over the positions spells the type in base n + 1."""
+    n = words.shape[1]
+    steps = cur = words - 1
+    home, keys = np.zeros(words.shape, bool), np.zeros(len(words), np.int64)
+    for t in range(1, n + 1):
+        back = (cur == np.arange(n)) & ~home
+        keys += back.sum(axis=1) * (n + 1) ** t
+        home |= back
+        cur = np.take_along_axis(steps, cur, axis=1)
+    types = np.array([sum(p * (n + 1) ** p for p in rho) for rho in partitions(n)], np.int64)
+    order = np.argsort(types)
+    return order[np.searchsorted(types[order], keys)]
 
 
 def _inversion_counts(words: np.ndarray) -> np.ndarray:
@@ -359,10 +402,6 @@ def _descent_words(n: int, d: DescSet) -> np.ndarray:
     return words[masks == d.mask]
 
 
-def _inverses(words: np.ndarray) -> np.ndarray:
-    return (np.argsort(words, axis=1) + 1).astype(words.dtype)
-
-
 def weak_descent_class(n: int, d: DescSet) -> PermSet:
     """All words whose descent set is contained in ``d``: concatenations
     of increasing blocks, one choice of value set per block."""
@@ -382,29 +421,37 @@ def inv_weak_descent_class(n: int, d: DescSet) -> PermSet:
     return PermSet.from_words(_inverses(_weak_descent_words(n, d)))
 
 
+def inv_descent_classes(n: int) -> list[PermSet]:
+    """Every class ``{w : Des(w^-1) = J}`` of degree ``n``, indexed by the
+    mask of ``J``: the level sets of one stable sort of S_n."""
+    words = _symmetric_words(n)
+    return _level_sets(n, words, _inverse_descent_masks(words), 1 << max(n - 1, 0))
+
+
+def inv_weak_descent_classes(n: int) -> Iterator[PermSet]:
+    """Every class ``{w : Des(w^-1) ⊆ J}`` of degree ``n``, in order of the
+    mask of ``J``, each filtered from one pass over S_n; a boolean filter
+    keeps the rows sorted (``masks & ~J`` would overflow unsigned masks)."""
+    words = _symmetric_words(n)
+    masks = _inverse_descent_masks(words)
+    for j in range(1 << max(n - 1, 0)):
+        yield PermSet._of_rows(n, words[(masks | j) == j])
+
+
 def knuth_class(p: Perm) -> PermSet:
     """All words with the same insertion tableau as ``p``."""
     return knuth_class_words(insertion_tableau(p))
 
 
 def conjugacy_class(n: int, rho: Sequence[int]) -> PermSet:
-    rho = tuple(sorted(rho, reverse=True))
+    """All words of cycle type ``rho`` (parts 0 are dropped)."""
+    rho = tuple(sorted((p for p in rho if p), reverse=True))
     if sum(rho) != n:
         raise ValueError("cycle type size mismatch")
     words = _symmetric_words(n)
-    # orbit[r, i]: the least t >= 1 with words[r]^t fixing i, the length of
-    # the cycle through i; a cycle type has L * (its parts equal to L)
-    # positions on cycles of length L.
-    steps = words - 1
-    orbit = np.zeros(words.shape, words.dtype)
-    cur = np.broadcast_to(np.arange(n), words.shape)
-    for t in range(1, n + 1):
-        cur = np.take_along_axis(steps, cur, axis=1)
-        orbit[(cur == np.arange(n)) & (orbit == 0)] = t
-    keep = np.ones(len(words), bool)
-    for length in range(1, n + 1):
-        keep &= (orbit == length).sum(axis=1) == length * rho.count(length)
-    return PermSet._of_rows(n, words[keep])
+    types = partitions(n)
+    level = types.index(rho) if rho in types else -1
+    return PermSet._of_rows(n, words[_cycle_type_levels(words) == level])
 
 
 def inversion_sphere(n: int, k: int) -> PermSet:
@@ -444,16 +491,16 @@ def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
             for c in knuth_classes(mu)
         ]
     if fam == "conj":
-        return [
-            ("conj[" + ",".join(map(str, rho)) + "]", conjugacy_class(n, rho))
-            for rho in partitions(n)
-        ]
+        words, types = _symmetric_words(n), partitions(n)
+        classes = _level_sets(n, words, _cycle_type_levels(words), len(types))
+        return [("conj[" + ",".join(map(str, r)) + "]", c) for r, c in zip(types, classes)]
     if fam == "invfix":
-        top = n * (n - 1) // 2
-        return [(f"invfix[{k}]", inversion_sphere(n, k)) for k in range(top + 1)]
+        words, top = _symmetric_words(n), n * (n - 1) // 2
+        classes = _level_sets(n, words, _inversion_counts(words), top + 1)
+        return [(f"invfix[{k}]", c) for k, c in enumerate(classes)]
     if fam == "Dinv":
-        dessets = [DescSet(n, mask) for mask in range(1 << max(n - 1, 0))]
-        return [(f"Dinv{d.braces()}", inv_descent_class(n, d)) for d in dessets]
+        classes = inv_descent_classes(n)
+        return [(f"Dinv{DescSet(n, m).braces()}", c) for m, c in enumerate(classes)]
     if fam == "colayer":
         return [(f"colayer[{k}]", colayered_class(n, k)) for k in range(1, n + 1)]
     raise ValueError(f"unknown battery family {fam!r}")

@@ -22,6 +22,7 @@ from schurgrid.characters import (
     class_size,
     signed_char_vector,
 )
+from schurgrid.grids import GridResourceError
 from schurgrid.permutations import (
     DescSet,
     cdes_count,
@@ -560,6 +561,91 @@ def test_knuth_battery_family_groups_s_n_by_insertion_tableau():
             assert type(cls) is PermSet
             assert cls.words.dtype == symmetric_group(n).words.dtype
             assert cls.words.tolist() == [list(w) for w in words]
+
+
+def assert_strictly_increasing(cls):
+    rows = [tuple(r) for r in cls.words.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def test_inverse_descent_classes_are_the_single_class_routes():
+    # Every class of a degree is a level set of one stable sort of S_n; it
+    # must equal, word matrix and all, the class built from block labels.
+    for n in range(1, 8):
+        classes = permsets.inv_descent_classes(n)
+        weak = list(permsets.inv_weak_descent_classes(n))
+        assert len(classes) == len(weak) == 1 << (n - 1)
+        assert sum(len(c) for c in classes) == math.factorial(n)
+        for mask, (exact, rclass) in enumerate(zip(classes, weak)):
+            d = DescSet(n, mask)
+            assert exact == inv_descent_class(n, d)
+            assert rclass == inv_weak_descent_class(n, d)
+            assert exact.words.dtype == rclass.words.dtype == symmetric_group(n).words.dtype
+            assert_strictly_increasing(exact)
+            assert_strictly_increasing(rclass)
+
+
+def inversions(w):
+    return sum(a > b for a, b in itertools.combinations(w, 2))
+
+
+def test_conj_and_invfix_families_are_level_sets():
+    for n in range(1, 8):
+        words = list(itertools.permutations(range(1, n + 1)))
+        conj = fine_battery(n, families=("conj",))
+        assert [name for name, _ in conj] == [
+            "conj[" + ",".join(map(str, rho)) + "]" for rho in partitions(n)
+        ]
+        for rho, (_, cls) in zip(partitions(n), conj):
+            assert cls == conjugacy_class(n, rho)
+            assert cls == {w for w in words if cycle_type(w) == rho}
+            assert_strictly_increasing(cls)
+        invfix = fine_battery(n, families=("invfix",))
+        assert len(invfix) == n * (n - 1) // 2 + 1
+        for k, (name, cls) in enumerate(invfix):
+            assert name == f"invfix[{k}]"
+            assert cls == inversion_sphere(n, k)
+            assert cls == {w for w in words if inversions(w) == k}
+            assert_strictly_increasing(cls)
+    # Parts 0 are dropped; a cycle type that is no partition has no words.
+    assert conjugacy_class(3, (0, 3)) == conjugacy_class(3, (3,))
+    assert conjugacy_class(3, (4, -1)) == set()
+
+
+def test_level_set_passes_refuse_s_n_before_allocating(monkeypatch):
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "10")
+
+    def allocated(*args):
+        raise AssertionError("S_n statistic computed over budget")
+
+    for name in ("_inverses", "_cycle_type_levels", "_inversion_counts"):
+        monkeypatch.setattr(permsets, name, allocated)
+    def refused():
+        return pytest.raises(GridResourceError, match="S_4 needs 96 letters")
+
+    with refused():
+        permsets.inv_descent_classes(4)
+    with refused():
+        next(permsets.inv_weak_descent_classes(4))
+    with refused():
+        conjugacy_class(4, (2, 2))
+    with refused():
+        inversion_sphere(4, 2)
+    for fam in ("conj", "invfix", "Dinv"):
+        with refused():
+            fine_battery(4, families=(fam,))
+
+
+def test_inverses_match_the_argsort_reference():
+    rng = np.random.default_rng(7)
+    big = np.array([rng.permutation(300) + 1 for _ in range(5)]).astype(">u2")
+    cases = [permsets._symmetric_words(n) for n in range(0, 7)]
+    cases += [big, np.empty((0, 5), np.uint8), np.empty((0, 0), np.uint8)]
+    for words in cases:
+        inv = permsets._inverses(words)
+        assert inv.dtype == words.dtype
+        assert np.array_equal(inv, (np.argsort(words, axis=1) + 1).astype(words.dtype))
+    assert permsets._inverses(np.array([[1]], np.uint8)).tolist() == [[1]]
 
 
 def test_inverse_descent_class_products_are_fine():
