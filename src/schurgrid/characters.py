@@ -48,7 +48,6 @@ __all__ = [
     "character_table",
     "CharacterVector",
     "char_vector",
-    "schur_from_char_vector",
     "kronecker",
     "kronecker_rows",
     "sign_twist",
@@ -148,14 +147,6 @@ class CharacterVector:
         if len(self.values) != len(partitions(self.n)):
             raise ValueError("wrong number of class values")
 
-    def value(self, rho: Sequence[int]) -> int:
-        rho = tuple(sorted(rho, reverse=True))
-        return self.values[partitions(self.n).index(rho)]
-
-    def degree(self) -> int:
-        """Value at the identity class."""
-        return self.value((1,) * self.n) if self.n else self.values[0]
-
 
 @lru_cache(maxsize=None)
 def _characters(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,17 +174,6 @@ def char_vector(e: SchurExpansion) -> CharacterVector:
     """Class-function values of a Schur expansion."""
     chars = _exact_matmul(schur_rows(e.n, [e]), _characters(e.n)[0])
     return CharacterVector(e.n, tuple(chars[0].tolist()))
-
-
-def schur_from_char_vector(v: CharacterVector) -> SchurExpansion:
-    """Expand a class function over the irreducibles; coefficients are
-    asserted integral (inner products with exact class weights).
-
-    >>> schur_from_char_vector(char_vector(SchurExpansion.single((2, 1), 3)))
-    ... # doctest: +ELLIPSIS
-    SchurExpansion(n=3, coeffs=(((2, 1), 3),))
-    """
-    return SchurExpansion.from_row(v.n, _from_characters(v.n, _int_array([v.values]))[0])
 
 
 def kronecker_rows(rows: np.ndarray, e: SchurExpansion) -> np.ndarray:

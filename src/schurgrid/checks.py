@@ -630,8 +630,7 @@ def _rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | No
     m, n = words.shape
     chain = strip_chain_shape(n, j)
     decomposes, images = _rotation_images(words, j, chain)
-    tableaux = syt_row_words(chain)
-    known = np.ascontiguousarray(tableaux[np.lexsort(tableaux.T[::-1])]).view(f"S{n}")[:, 0]
+    known = syt_row_words(chain).view(f"S{n}")[:, 0]  # emitted in sorted order
     keys = np.ascontiguousarray(images).view(f"S{n}")[:, 0]
     found = known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
     order = np.lexsort(images.T[::-1])  # stable: a repeat sorts after its first row
@@ -1400,10 +1399,11 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
     """Scan one conjecture degree by degree up to ``max_n``.
 
     Each degree's verdict is persisted once (append-only); reruns recompute
-    and must reproduce the stored verdict, case count and witness, otherwise
-    they raise.  The scan stops at the first refuting degree, when the cost
-    model exceeds the work budget, or at the degree whose grid enumeration
-    the grid budget refuses; the last two keep the frontier reached.
+    and must reproduce the stored conjecture id, degree, verdict, case count
+    and witness, otherwise they raise.  The scan stops at the first refuting
+    degree, when the cost model exceeds the work budget, or at the degree
+    whose grid enumeration the grid budget refuses; the last two keep the
+    frontier reached.
     """
     spec = _SCANS.get(conj_id)
     if spec is None:
@@ -1441,12 +1441,15 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
         stored = _load_record(conj_id, n)
         if stored is None:
             _store_record(record)
-        elif (stored.verdict, stored.cases, stored.witness) != (verdict, cases, found):
+        elif (stored.conjecture, stored.n, stored.verdict, stored.cases, stored.witness) != (
+            conj_id, n, verdict, cases, found
+        ):
             raise RuntimeError(
                 f"stored verdict for {conj_id} at n={n} is {stored.verdict!r} "
-                f"({stored.cases} cases, witness {stored.witness!r}) but "
-                f"recomputation gives {verdict!r} ({cases} cases, witness "
-                f"{found!r}); inspect {_record_path(conj_id, n)}"
+                f"({stored.cases} cases, witness {stored.witness!r}, recorded "
+                f"for {stored.conjecture} at n={stored.n}) but recomputation "
+                f"gives {verdict!r} ({cases} cases, witness {found!r}); "
+                f"inspect {_record_path(conj_id, n)}"
             )
         records.append(record)
         if verdict == "refuted":

@@ -108,10 +108,6 @@ class GridMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0])
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access; row 1 is the top row."""
-        return self.rows[i - 1][j - 1]
-
     def cells(self) -> list[tuple[int, int]]:
         """0-based (row, col) positions of the nonzero entries."""
         return [

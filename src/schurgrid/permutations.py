@@ -27,7 +27,6 @@ __all__ = [
     "Composition",
     "DescSet",
     "perm_from_word",
-    "identity",
     "longest_element",
     "cycle_perm",
     "parse_perm",
@@ -38,15 +37,10 @@ __all__ = [
     "cdes_count",
     "inverse",
     "compose",
-    "reverse",
-    "complement",
-    "standardize",
-    "composition",
     "composition_partial_sums",
     "composition_boundary_mask",
     "composition_of_descents",
     "sorted_composition_key",
-    "is_mu_modal_desset",
     "is_mu_modal_mask",
     "distinct_words",
     "format_words",
@@ -73,13 +67,6 @@ def perm_from_word(word: Sequence[int]) -> Perm:
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {w!r}")
     return w
-
-
-def identity(n: int) -> Perm:
-    """The identity permutation of degree ``n``."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return tuple(range(1, n + 1))
 
 
 def longest_element(n: int) -> Perm:
@@ -171,16 +158,6 @@ class DescSet:
             mask |= 1 << (i - 1)
         return cls(n, mask)
 
-    @classmethod
-    def from_braces(cls, n: int, text: str) -> "DescSet":
-        """Parse the canonical textual form ``{1,4,7}`` (``{}`` for empty)."""
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ValueError(f"expected braces: {text!r}")
-        inner = text[1:-1].strip()
-        members = [int(part) for part in inner.split(",")] if inner else []
-        return cls.of(n, members)
-
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(max(self.n - 1, 0)) if self.mask >> i & 1)
@@ -196,10 +173,6 @@ class DescSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def reflect(self) -> "DescSet":
-        """The set ``{n - i : i in self}`` in the same ambient degree."""
-        return DescSet.of(self.n, (self.n - i for i in self.members))
 
 
 def des_mask(word: Sequence[int]) -> int:
@@ -264,43 +237,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
-def reverse(p: Perm) -> Perm:
-    """Read the word backwards (right multiplication by the longest element)."""
-    return p[::-1]
-
-
-def complement(p: Perm) -> Perm:
-    """Replace each value v by n+1-v (left multiplication by the longest element)."""
-    n = len(p)
-    return tuple(n + 1 - v for v in p)
-
-
-def standardize(values: Sequence[int]) -> Perm:
-    """The permutation order-isomorphic to a sequence of distinct integers.
-
-    >>> standardize((4, 5, 1, 7))
-    (2, 3, 1, 4)
-    >>> standardize((90, 10, 50))
-    (3, 1, 2)
-    """
-    seq = tuple(values)
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"entries not distinct: {seq!r}")
-    rank = {v: i + 1 for i, v in enumerate(sorted(seq))}
-    return tuple(rank[v] for v in seq)
-
-
 # ---------------------------------------------------------------------------
 # Compositions and modality
 # ---------------------------------------------------------------------------
-
-
-def composition(parts: Iterable[int]) -> Composition:
-    """Validate a sequence of positive integers."""
-    mu = tuple(int(x) for x in parts)
-    if any(x < 1 for x in mu):
-        raise ValueError(f"composition parts must be >= 1: {mu!r}")
-    return mu
 
 
 def composition_partial_sums(mu: Composition) -> tuple[int, ...]:
@@ -344,27 +283,18 @@ def sorted_composition_key(d: DescSet) -> Composition:
     return tuple(sorted(composition_of_descents(d), reverse=True))
 
 
-def is_mu_modal_desset(d: DescSet, mu: Composition) -> bool:
-    """Whether some permutation whose every mu-block is co-unimodal
-    (strictly decreasing then strictly increasing) has descent set ``d``.
+def is_mu_modal_mask(mask: int, n: int, mu: Composition) -> bool:
+    """Whether some permutation of degree ``n`` whose every ``mu``-block is
+    co-unimodal (strictly decreasing then strictly increasing) has the
+    descent set ``mask``.  Equivalently, inside the interior of each block
+    the descents form a prefix run anchored at the block start; descents at
+    block boundaries are unconstrained.  ``mu`` must sum to ``n``.
 
-    Equivalently: inside the interior of each mu-block the members of ``d``
-    form a prefix run anchored at the block start; members at block
-    boundaries are unconstrained.
-
-    >>> is_mu_modal_desset(DescSet.of(8, [1, 3, 5]), (3, 1, 4))
+    >>> is_mu_modal_mask(0b10101, 8, (3, 1, 4))
     True
-    >>> is_mu_modal_desset(DescSet.of(6, [2]), (6,))
+    >>> is_mu_modal_mask(0b10, 6, (6,))
     False
     """
-    mu = composition(mu)
-    if sum(mu) != d.n:
-        raise ValueError(f"composition sums to {sum(mu)}, expected {d.n}")
-    return is_mu_modal_mask(d.mask, d.n, mu)
-
-
-def is_mu_modal_mask(mask: int, n: int, mu: Composition) -> bool:
-    """Mask-level form of :func:`is_mu_modal_desset` (no validation)."""
     lo = 1
     for part in mu:
         hi = lo + part - 1
@@ -527,9 +457,6 @@ class PermMultiset(Mapping):
 
     def support(self) -> "PermSet":
         return PermSet._of_rows(self.n, self.words)
-
-    def multiplicity(self, word: Perm) -> int:
-        return self.get(word, 0)
 
     def total_size(self) -> int:
         return int(self.mults.sum())

@@ -4,18 +4,17 @@ basis.
 A degree-``n`` quasisymmetric function is a dense integer vector indexed by
 subsets of ``[n-1]`` (bitmask order); a symmetric function is a map from
 partitions of ``n`` to integers.  The bridge between the two worlds is the
-descent-count table ``d[shape][descent-set]`` = number of standard tableaux
-of the shape with that descent set, built once per degree in memory by
-placing the entries ``1..n`` one at a time.  Started from an inner shape,
-the same walk gives the fundamental vector of any skew shape: the sum of
-``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).  Summing a column
-of the table over the subsets of the partial sums of ``lambda`` gives the
-Kostka number ``K[mu][lambda]``, and the Kostka matrix is unitriangular in
-the lex-decreasing order of :func:`partitions`.
+descent-count table, a ``P x 2**(n-1)`` integer matrix whose row for a
+shape counts its standard tableaux by descent set, built once per degree in
+memory by placing the entries ``1..n`` one at a time.  Started from an
+inner shape, the same walk gives the fundamental vector of any skew shape:
+the sum of ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).
+Summing the row of ``mu`` over the subsets of the partial sums of
+``lambda`` gives the Kostka number ``K[mu][lambda]``, and the Kostka
+matrix is unitriangular in the lex-decreasing order of :func:`partitions`.
 
-Each degree's table keeps, built on first use, its columns stacked as a
-``P x 2**(n-1)`` integer matrix and the integer inverse of the Kostka
-matrix (found by back-substitution).  The Schur coefficients of a vector
+Each degree's table keeps, built on first use, the integer inverse of the
+Kostka matrix (found by back-substitution).  The Schur coefficients of a vector
 are its monomial coefficients (a subset-sum transform) at the partitions
 times that inverse; the vector is symmetric exactly when the coefficients
 times the matrix rebuild it, and otherwise the first mask whose monomial
@@ -145,30 +144,6 @@ class QSym:
     def scale(self, k: int) -> "QSym":
         return QSym(self.n, tuple(k * a for a in self.coeffs))
 
-    def divide_exact(self, k: int) -> "QSym":
-        if any(a % k for a in self.coeffs):
-            raise ValueError(f"vector is not divisible by {k}")
-        return QSym(self.n, tuple(a // k for a in self.coeffs))
-
-    def coeff(self, d: DescSet) -> int:
-        if d.n != self.n:
-            raise ValueError("descent set degree mismatch")
-        return self.coeffs[d.mask]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def support(self) -> list[DescSet]:
-        return [DescSet(self.n, m) for m, c in enumerate(self.coeffs) if c]
-
-    def reflect(self) -> "QSym":
-        """Apply the index reflection sending each subset D to n - D."""
-        v = [0] * len(self.coeffs)
-        for mask, c in enumerate(self.coeffs):
-            if c:
-                v[DescSet(self.n, mask).reflect().mask] += c
-        return QSym(self.n, tuple(v))
-
     def serialize(self) -> str:
         """Canonical text, e.g. ``n=3; F{} + 2*F{1} + F{1,2}``."""
         terms = []
@@ -289,9 +264,6 @@ class SchurExpansion:
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.coeffs)
 
-    def coeff(self, mu: Sequence[int]) -> int:
-        return self.as_dict().get(tuple(mu), 0)
-
     def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
         if self.n != other.n:
             raise ValueError("degree mismatch")
@@ -299,29 +271,6 @@ class SchurExpansion:
         for mu, c in other.coeffs:
             data[mu] = data.get(mu, 0) + c
         return SchurExpansion.from_dict(self.n, data)
-
-    def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "SchurExpansion":
-        return SchurExpansion.from_dict(
-            self.n, {mu: k * c for mu, c in self.coeffs}
-        )
-
-    def divide_exact(self, k: int) -> "SchurExpansion":
-        if any(c % k for _, c in self.coeffs):
-            raise ValueError(f"expansion is not divisible by {k}")
-        return SchurExpansion.from_dict(
-            self.n, {mu: c // k for mu, c in self.coeffs}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def dimension(self) -> int:
-        """Sum of coefficients times tableau counts (character degree)."""
-        table = descent_count_table(self.n)
-        return sum(c * sum(table.counts[mu]) for mu, c in self.coeffs)
 
     def serialize(self) -> str:
         """Canonical text: terms in descending lexicographic partition
@@ -605,39 +554,31 @@ def skew_schur_f_vector(shape: SkewShape) -> QSym:
     return QSym(n, _placements(shape.inner, n, shape.outer)[shape.outer])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescentCountTable:
-    """For each partition of ``n``, the dense vector (indexed by descent
-    mask) counting standard tableaux of that shape and descent set."""
+    """``matrix[i, mask]`` counts the standard tableaux of the ``i``-th
+    partition of ``n`` (in ``partitions(n)`` order) with that descent mask:
+    a ``P x 2**(n-1)`` array (an entry is at most ``n!``, so ``int64`` is
+    exact)."""
 
     n: int
-    counts: dict[Partition, tuple[int, ...]]
-
-    def entry(self, mu: Sequence[int], d: DescSet) -> int:
-        return self.counts[tuple(mu)][d.mask]
+    matrix: np.ndarray
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The columns stacked as a ``P x 2**(n-1)`` array, rows in
-        ``partitions(n)`` order (an entry is at most ``n!``, so ``int64``
-        is exact)."""
-        return np.array([self.counts[mu] for mu in partitions(self.n)], np.int64)
-
-    @cached_property
-    def kostka(self) -> tuple[tuple[int, ...], ...]:
-        """``kostka[i][j]`` = K_{mu lambda}, the number of semistandard
+    def kostka(self) -> np.ndarray:
+        """``kostka[i, j]`` = K_{mu lambda}, the number of semistandard
         tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
-        ``j``-th partitions of ``n``: the sum of the ``mu`` column over the
+        ``j``-th partitions of ``n``: the sum of the ``mu`` row over the
         subsets of the partial sums of ``lambda``, as one integer matrix
         product."""
-        return tuple(map(tuple, (self.matrix @ _subsets(self.n)).tolist()))
+        return self.matrix @ _subsets(self.n)
 
     @cached_property
     def kostka_inverse(self) -> np.ndarray:
         """The inverse of the unitriangular Kostka matrix, by back-substitution
         in Python ints: row ``i`` is the ``i``-th unit row minus the later
         rows weighted by row ``i`` of K."""
-        kostka = np.array(self.kostka, object)
+        kostka = self.kostka.astype(object)
         size = len(kostka)
         inverse = np.identity(size, object)
         for i in reversed(range(size)):
@@ -675,8 +616,8 @@ _table_memory: dict[int, DescentCountTable] = {}
 def descent_count_table(n: int) -> DescentCountTable:
     """The descent-count table of degree ``n``, built once per process.
 
-    >>> descent_count_table(3).entry((2, 1), DescSet.of(3, [1]))
-    1
+    >>> descent_count_table(3).matrix.tolist()
+    [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -685,6 +626,6 @@ def descent_count_table(n: int) -> DescentCountTable:
         # The n-by-n box holds every partition of n.
         placed = _placements((), n, (n,) * n)
         table = _table_memory[n] = DescentCountTable(
-            n, {mu: placed[mu] for mu in partitions(n)}
+            n, np.array([placed[mu] for mu in partitions(n)], np.int64)
         )
     return table

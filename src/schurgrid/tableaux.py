@@ -159,12 +159,6 @@ class SkewShape:
                 out.append((r, c))
         return tuple(out)
 
-    def contains(self, row: int, col: int) -> bool:
-        return (
-            1 <= row <= self.n_rows
-            and self.inner_len(row) < col <= self.outer[row - 1]
-        )
-
     def is_straight(self) -> bool:
         return not self.inner
 
@@ -213,8 +207,10 @@ def strip_chain_shape(n: int, j: DescSet) -> SkewShape:
     ``j_1, j_2-j_1, ..., n-1-j_t, 1`` for ``j = {j_1 < ... < j_t}``; the
     rightmost strip is the single top cell.
 
-    Members of ``j`` must lie in ``[n-2]``.  Cached per ``(n, j)``, as
-    :func:`rotation_bijection` asks for it once per permutation.
+    Members of ``j`` must lie in ``[n-2]``.  Cached per ``(n, j)``: the
+    rotation audit of each class asks for it twice (its expected shape and
+    the chain it maps onto), and :func:`rotation_bijection` once per
+    permutation.
 
     >>> strip_chain_shape(5, DescSet.of(5, []))
     SkewShape(outer=(5, 4), inner=(4,))
@@ -296,9 +292,6 @@ class StandardTableau:
     def size(self) -> int:
         return self.shape.size()
 
-    def entry_at(self, row: int, col: int) -> int:
-        return self.rows[row - 1][col - self.shape.inner_len(row) - 1]
-
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
         return tuple(chain.from_iterable(self.rows))
@@ -373,14 +366,15 @@ def enumerate_syt(shape: SkewShape) -> list[StandardTableau]:
 
 def syt_row_words(shape: SkewShape) -> np.ndarray:
     """Every standard tableau of a skew shape as its row word: the ``(f, n)``
-    uint8 matrix whose row ``t`` is ``enumerate_syt(shape)[t].row_word()``.
+    uint8 matrix of the ``row_word()`` of every tableau that
+    :func:`enumerate_syt` lists, in strictly increasing lexicographic order.
 
     Entries are placed one at a time on all partial tableaux at once: with
     ``ends[s, r]`` the last filled column of row ``r``, the next entry may
     go to row ``r`` when ``ends[s, r]`` is below ``outer[r]`` (room) and
-    below ``ends[s, r - 1]`` (the cell above is filled or outside).  Reading
-    words compare the entry sets of row 1, then row 2, ..., each by its
-    least entry not in the other; that is the final sort.
+    below ``ends[s, r - 1]`` (the cell above is filled or outside).  Each
+    step keeps the order of the partial words and extends each one by its
+    rows in increasing order, so the words come out sorted.
 
     >>> syt_row_words(straight_shape((2, 2))).tolist()
     [[1, 1, 2, 2], [1, 2, 1, 2]]
@@ -395,10 +389,7 @@ def syt_row_words(shape: SkewShape) -> np.ndarray:
         words, ends = words[state], ends[state]
         words[:, k] = row + 1
         ends[np.arange(len(row)), row] += 1
-    # Bit n - 1 - i of key r is set when entry i + 1 is not in row r.
-    bits = 1 << np.arange(n - 1, -1, -1, dtype=object if n > 62 else np.int64)
-    keys = [(words != r) @ bits for r in range(shape.n_rows - 1, 0, -1)]
-    return words[np.lexsort(keys)] if keys else words
+    return words
 
 
 def syt_des(t: StandardTableau) -> DescSet:
@@ -462,13 +453,20 @@ def insertion_tableau(p: Perm) -> StandardTableau:
 def knuth_classes(mu: Sequence[int]) -> list[PermSet]:
     """The plactic classes of the straight shape ``mu``, one per insertion
     tableau in :func:`enumerate_syt` order, from all ``f**2`` pairs of row
-    words at once.
+    words at once.  Reading words compare the entry sets of row 1, then
+    row 2, ..., each by its least entry not in the other; that sorts the
+    row words into that order.
 
     >>> [sorted(c) for c in knuth_classes((2, 1))]
     [[(1, 3, 2), (3, 1, 2)], [(2, 1, 3), (2, 3, 1)]]
     """
     rows = syt_row_words(straight_shape(mu))
-    f = len(rows)
+    f, n = rows.shape
+    # Bit n - 1 - i of key r is set when entry i + 1 is not in row r.
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=object if n > 62 else np.int64)
+    keys = [(rows != r) @ bits for r in range(len(mu) - 1, 0, -1)]
+    if keys:
+        rows = rows[np.lexsort(keys)]
     return _inverse_rsk_classes(np.repeat(rows, f, axis=0), np.tile(rows, (f, 1)), mu, f)
 
 

@@ -163,6 +163,8 @@ TAMPERS = {
     "verdict": ("conj-10-2", 3, lambda verdict: "refuted"),
     "cases": ("conj-10-2", 3, lambda cases: cases + 1),
     "witness": ("knuth-product", 5, lambda witness: witness + " (edited)"),
+    "n": ("conj-10-2", 3, lambda n: n + 1),
+    "conjecture": ("conj-10-2", 3, lambda conjecture: "conj-10-1"),
 }
 
 

@@ -34,14 +34,14 @@ def test_all_names_exist_and_appear_once(module_name):
 PERFBENCH_NAMES = {
     "grids": [
         "_grid_cache", "consistent_orientation", "refine_matrix", "grid_budget",
-        "one_column_member", "parse_sign_vector",
+        "one_column_member", "parse_sign_vector", "GridMatrix.cells",
     ],
     "qsym": [
         "_table_memory", "cache_dir", "descent_count_table", "NotSymmetric",
         "SchurExpansion.zero", "SchurExpansion.from_dict", "is_symmetric_by_monomials",
         "qsym_of", "schur_f_vector",
     ],
-    "permsets": ["PermMultiset"],
+    "permsets": ["PermMultiset", "PermMultiset.support_size", "PermMultiset.elems"],
     "permutations": ["format_perm"],
     "setexpr": ["evaluate"],
     "checks": ["check_budget"],

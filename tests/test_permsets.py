@@ -110,10 +110,10 @@ def test_multiset_construction_and_counting():
     m = as_multiset([(1, 2, 3), (2, 1, 3), (1, 2, 3)])
     assert m.total_size() == 3
     assert m.support_size() == 2
-    assert m.multiplicity((1, 2, 3)) == 2
+    assert m[(1, 2, 3)] == 2
     assert not m.is_set()
     assert as_multiset(m) is m
-    assert as_multiset({(2, 1): 4}).multiplicity((2, 1)) == 4
+    assert as_multiset({(2, 1): 4})[(2, 1)] == 4
     with pytest.raises(ValueError):
         PermMultiset(3, (((1, 2), 1),))
     with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ def test_multiset_sum_and_scale():
     a = as_multiset([(1, 2)])
     b = as_multiset([(2, 1), (1, 2)])
     total = a + b
-    assert total.multiplicity((1, 2)) == 2
+    assert total[(1, 2)] == 2
     assert a.scale(3).total_size() == 3
     assert (a + b).qsym() == a.qsym() + b.qsym()
 
@@ -373,8 +373,8 @@ def test_product_qsym_grid_logs_its_work(caplog):
 def test_product_qsym_edge_cases():
     empty = as_multiset([], 3)
     full = as_multiset(symmetric_group(3))
-    assert product_qsym(empty, full).is_zero()
-    assert product_qsym(full, empty).is_zero()
+    assert not any(product_qsym(empty, full).coeffs)
+    assert not any(product_qsym(full, empty).coeffs)
     unit = as_multiset([()], 0)
     assert product_qsym(unit.scale(3), unit.scale(5)).coeffs == (15,)
 
@@ -383,7 +383,7 @@ def test_product_with_huge_multiplicities_is_exact():
     big = 10**12
     a = as_multiset({(1, 2): big}, 2)
     q = product_qsym(a, a)
-    assert q.coeff(DescSet.of(2, [])) == big * big
+    assert q.coeffs[DescSet.of(2, []).mask] == big * big
 
 
 def test_rotations_of_embedded_sets_are_sets():

@@ -71,13 +71,9 @@ def test_qsym_algebra_basics():
     a = fundamental(3, [1])
     b = fundamental(3, [2])
     s = a + b.scale(2)
-    assert s.coeff(DescSet.of(3, [1])) == 1
-    assert s.coeff(DescSet.of(3, [2])) == 2
-    assert (s - s).is_zero()
-    assert (-a).coeff(DescSet.of(3, [1])) == -1
-    assert s.scale(6).divide_exact(3) == s.scale(2)
-    with pytest.raises(ValueError):
-        s.divide_exact(4)
+    assert s.coeffs == (0, 1, 2, 0)
+    assert not any((s - s).coeffs)
+    assert (-a).coeffs == (0, -1, 0, 0)
     with pytest.raises(ValueError):
         a + fundamental(4, [1])
 
@@ -102,19 +98,10 @@ def test_qsym_serialize_braces_match_descsets():
 def test_qsym_of_validates_degrees():
     with pytest.raises(ValueError):
         qsym_of([])
-    assert qsym_of([], 3).is_zero()
+    assert not any(qsym_of([], 3).coeffs)
     with pytest.raises(ValueError):
         qsym_of([(1, 2), (1, 2, 3)])
-    assert qsym_of({(2, 1): 5}).coeff(DescSet.of(2, [1])) == 5
-
-
-def test_reflect_permutes_fundamentals():
-    for n in range(1, 7):
-        for d in all_dessets(n):
-            q = QSym.single(n, d)
-            assert q.reflect() == QSym.single(n, d.reflect())
-        v = qsym_of(itertools.permutations(range(1, n + 1)))
-        assert v.reflect().reflect() == v
+    assert qsym_of({(2, 1): 5}).coeffs == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +179,9 @@ def test_schur_expand_full_symmetric_group():
     assert isinstance(e, SchurExpansion)
     assert e.serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
     assert is_schur_positive(e)
-    assert e.dimension() == 24
+    # The row sums of the descent-count matrix are the tableau counts.
+    tableaux = dict(zip(partitions(4), descent_count_table(4).matrix.sum(axis=1).tolist()))
+    assert sum(c * tableaux[mu] for mu, c in e.coeffs) == 24
 
 
 def test_straight_shapes_expand_to_single_schur_terms():
@@ -256,6 +245,7 @@ def loop_schur_expand(q):
     the rebuilt vector compared, and the first mask whose monomial
     coefficient differs from the first one of its rearrangement class."""
     n, table = q.n, descent_count_table(q.n)
+    kostka, rows = table.kostka.tolist(), dict(zip(partitions(n), table.matrix.tolist()))
     mono = list(q.coeffs)
     for bit in range(n - 1):
         for mask in range(len(mono)):
@@ -265,12 +255,12 @@ def loop_schur_expand(q):
     for j, lam in enumerate(partitions(n)):
         coeffs.append(
             mono[composition_boundary_mask(lam)]
-            - sum(c * table.kostka[i][j] for i, c in enumerate(coeffs))
+            - sum(c * kostka[i][j] for i, c in enumerate(coeffs))
         )
     e = SchurExpansion.from_dict(n, dict(zip(partitions(n), coeffs)))
     rebuilt = [0] * len(mono)
     for mu, c in e.coeffs:
-        for mask, d in enumerate(table.counts[mu]):
+        for mask, d in enumerate(rows[mu]):
             rebuilt[mask] += c * d
     if tuple(rebuilt) == q.coeffs:
         return mono, e.serialize()
@@ -365,7 +355,7 @@ def test_pieri_down_is_adjoint_to_pieri_up():
             up = pieri_up(SchurExpansion.single(mu))
             for nu in partitions(n + 1):
                 down = pieri_down(SchurExpansion.single(nu))
-                assert up.coeff(nu) == down.coeff(mu)
+                assert up.as_dict().get(nu, 0) == down.as_dict().get(mu, 0)
 
 
 def test_pieri_down_counts_corner_removals():
@@ -406,16 +396,17 @@ def test_kostka_matrix_counts_semistandard_tableaux():
     for n in range(7):
         parts = partitions(n)
         kostka = descent_count_table(n).kostka
-        assert kostka == tuple(tuple(ssyt_count(mu, lam) for lam in parts) for mu in parts)
-        assert all(type(k) is int for row in kostka for k in row)
+        assert kostka.dtype.kind == "i"
+        assert kostka.tolist() == [[ssyt_count(mu, lam) for lam in parts] for mu in parts]
 
 
 def test_descent_count_table_matches_tableau_enumeration():
     for n in range(0, 9):
-        table = descent_count_table(n)
-        for mu in partitions(n):
+        matrix = descent_count_table(n).matrix
+        assert matrix.shape == (len(partitions(n)), 1 << max(n - 1, 0))
+        for mu, row in zip(partitions(n), matrix.tolist()):
             brute = syt_tally(straight_shape(mu))
-            assert list(table.counts[mu]) == brute
+            assert row == brute
             assert list(skew_schur_f_vector(straight_shape(mu)).coeffs) == brute
     shapes = [
         SkewShape((), ()),
@@ -458,7 +449,7 @@ def test_planted_table_files_are_ignored(tmp_path, monkeypatch):
     cache = cache_dir()
     assert cache == tmp_path / "planted"
     monkeypatch.setattr(qsym, "_table_memory", {})
-    good = descent_count_table(4).counts
+    good = dict(zip(partitions(4), descent_count_table(4).matrix.tolist()))
     assert not cache.exists()
 
     swapped = dict(good)
@@ -476,6 +467,6 @@ def test_planted_table_files_are_ignored(tmp_path, monkeypatch):
         monkeypatch.setattr(qsym, "_table_memory", {})
         e = schur_expand(qsym_of(itertools.permutations(range(1, 5))))
         assert e.serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
-        assert descent_count_table(4).counts == good
+        assert dict(zip(partitions(4), descent_count_table(4).matrix.tolist())) == good
         assert list(cache.iterdir()) == [path]
         assert path.read_bytes() == planted

@@ -114,7 +114,6 @@ def test_skew_shape_cells_and_containment():
     s = SkewShape((4, 2, 1), (2, 1))
     assert s.size() == 4
     assert set(s.cells()) == {(1, 3), (1, 4), (2, 2), (3, 1)}
-    assert s.contains(1, 3) and not s.contains(1, 2)
     assert not s.is_straight()
     assert straight_shape((3, 1)).is_straight()
 
@@ -251,10 +250,12 @@ def shapes_up_to_seven():
 def test_syt_row_words_match_enumerate_syt():
     for shape in shapes_up_to_seven():
         words = syt_row_words(shape)
-        expected = [t.row_word() for t in enumerate_syt(shape)]
+        expected = {t.row_word() for t in enumerate_syt(shape)}
+        rows = list(map(tuple, words.tolist()))
         assert words.dtype == np.uint8
         assert words.shape == (len(expected), shape.size())
-        assert list(map(tuple, words.tolist())) == expected, shape
+        assert set(rows) == expected, shape
+        assert all(a < b for a, b in zip(rows, rows[1:])), shape
 
 
 def test_row_word_names_the_row_of_each_entry():
