@@ -122,6 +122,8 @@ STATUS_VERIFIED = "verified"
 STATUS_REFUTED = "refuted"
 STATUS_HOLDS = "holds-up-to"
 STATUS_SKIPPED = "resource-skipped"
+# Head of the note of a run the grid budget refused.
+GRID_REFUSAL = "grid enumeration over budget"
 
 DEFAULT_CHECK_BUDGET = 200_000_000
 _SAMPLE_SEED = 20260814
@@ -1094,16 +1096,38 @@ def list_checks() -> list[tuple[str, int, str]]:
     return [(s.id, s.default_n, s.statement) for s in _REGISTRY.values()]
 
 
+def _lookup(table: dict[str, _Spec], kind: str, spec_id: str) -> _Spec:
+    if spec_id not in table:
+        raise ValueError(f"unknown {kind} id {spec_id!r}; known ids: {', '.join(sorted(table))}")
+    return table[spec_id]
+
+
+def _gated_run(
+    spec: _Spec, n: int, *args: object
+) -> tuple[object, int, tuple[str, str] | None]:
+    """Run ``spec.runner(*args, n)`` under both budgets: its result, its
+    elapsed ms and no refusal; or, refused, no result and ``("before",
+    note)`` when the cost model exceeds the check budget, ``("at", note)``
+    when the grid budget refuses an enumeration."""
+    estimated, budget = spec.cost(n), check_budget()
+    if estimated > budget:
+        return None, 0, ("before", f"estimated work {estimated} exceeds budget {budget}")
+    start = time.perf_counter()
+    try:
+        result, refusal = spec.runner(*args, n), None
+    except GridResourceError as exc:
+        result, refusal = None, ("at", f"{GRID_REFUSAL}: {exc}")
+    return result, int((time.perf_counter() - start) * 1000), refusal
+
+
 def run_check(check_id: str, n: int | None = None) -> CheckReport:
     """Execute one registered check and wrap the outcome in a report.
 
     Unknown ids raise ``ValueError``; degrees beyond the declared cost
-    model produce a ``resource-skipped`` report instead of running.
+    model, or whose grid enumeration the grid budget refuses, produce a
+    ``resource-skipped`` report.
     """
-    spec = _REGISTRY.get(check_id)
-    if spec is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown check id {check_id!r}; known ids: {known}")
+    spec = _lookup(_REGISTRY, "check", check_id)
     degree = spec.default_n if n is None else n
     if spec.fixed_n and degree != spec.default_n:
         raise ValueError(
@@ -1114,43 +1138,15 @@ def run_check(check_id: str, n: int | None = None) -> CheckReport:
         raise ValueError(
             f"check {check_id} needs degree >= {spec.min_n}, got {degree}"
         )
-    budget = check_budget()
-    estimated = spec.cost(degree)
-    if estimated > budget:
-        return CheckReport(
-            check_id,
-            degree,
-            STATUS_SKIPPED,
-            "",
-            "",
-            0,
-            f"estimated work {estimated} exceeds budget {budget}; raise "
-            "SCHURGRID_CHECK_BUDGET to force",
-        )
     led = _CaseLedger()
-    start = time.perf_counter()
-    try:
-        spec.runner(led, degree)
-    except GridResourceError as exc:
-        return CheckReport(
-            check_id,
-            degree,
-            STATUS_SKIPPED,
-            "",
-            "",
-            int((time.perf_counter() - start) * 1000),
-            f"grid enumeration over budget: {exc}",
-        )
-    status, lhs, rhs, notes = led.outcome()
-    return CheckReport(
-        check_id,
-        degree,
-        status,
-        lhs,
-        rhs,
-        int((time.perf_counter() - start) * 1000),
-        notes,
-    )
+    _, elapsed, refusal = _gated_run(spec, degree, led)
+    if refusal is None:
+        status, lhs, rhs, notes = led.outcome()
+    else:
+        status, lhs, rhs, notes = STATUS_SKIPPED, "", "", refusal[1]
+        if refusal[0] == "before":
+            notes += "; raise SCHURGRID_CHECK_BUDGET to force"
+    return CheckReport(check_id, degree, status, lhs, rhs, elapsed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1386,13 +1382,14 @@ def _store_record(record: ScanRecord) -> None:
 
 
 def _load_record(conj_id: str, n: int) -> ScanRecord | None:
+    """The stored verdict, or None; a file holding no record raises, untouched."""
     path = _record_path(conj_id, n)
     if not path.exists():
         return None
     try:
         return ScanRecord.from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError):
-        return None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RuntimeError(f"stored verdict {path} cannot be read: {exc!r}") from exc
 
 
 def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
@@ -1400,35 +1397,24 @@ def scan_conjecture(conj_id: str, max_n: int) -> ScanReport:
 
     Each degree's verdict is persisted once (append-only); reruns recompute
     and must reproduce the stored conjecture id, degree, verdict, case count
-    and witness, otherwise they raise.  The scan stops at the first refuting
-    degree, when the cost model exceeds the work budget, or at the degree
-    whose grid enumeration the grid budget refuses; the last two keep the
-    frontier reached.
+    and witness, otherwise (or if the file holds no record) they raise and
+    leave it as it is.  The scan stops at the first refuting degree, when
+    the cost model exceeds the work budget, or at the degree whose grid
+    enumeration the grid budget refuses; the last two keep the frontier
+    reached.
     """
-    spec = _SCANS.get(conj_id)
-    if spec is None:
-        known = ", ".join(sorted(_SCANS))
-        raise ValueError(f"unknown conjecture id {conj_id!r}; known ids: {known}")
+    spec = _lookup(_SCANS, "conjecture", conj_id)
     records: list[ScanRecord] = []
     status = STATUS_HOLDS
     witness: str | None = None
     frontier = spec.min_n - 1
     notes = ""
     for n in range(spec.min_n, max_n + 1):
-        estimated = spec.cost(n)
-        if estimated > check_budget():
-            notes = (
-                f"stopped before n={n}: estimated work {estimated} exceeds "
-                f"budget {check_budget()}"
-            )
+        result, elapsed, refusal = _gated_run(spec, n)
+        if refusal is not None:
+            notes = f"stopped {refusal[0]} n={n}: {refusal[1]}"
             break
-        start = time.perf_counter()
-        try:
-            verdict, cases, found = spec.runner(n)
-        except GridResourceError as exc:
-            notes = f"stopped at n={n}: grid enumeration over budget: {exc}"
-            break
-        elapsed = int((time.perf_counter() - start) * 1000)
+        verdict, cases, found = result  # type: ignore[misc]
         record = ScanRecord(
             conj_id,
             n,

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import NoReturn, Sequence
 
 from .checks import (
+    GRID_REFUSAL,
     STATUS_HOLDS,
     STATUS_REFUTED,
     STATUS_SKIPPED,
@@ -176,11 +177,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
         )
     if report.status == STATUS_SKIPPED:
-        print(
-            "resource budget exceeded; raise SCHURGRID_CHECK_BUDGET or "
-            "lower --n",
-            file=sys.stderr,
-        )
+        budget = "GRID" if report.notes.startswith(GRID_REFUSAL) else "CHECK"
+        print(f"resource budget exceeded; raise SCHURGRID_{budget}_BUDGET or lower --n", file=sys.stderr)
     return _status_exit(report.status)
 
 

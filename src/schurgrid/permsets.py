@@ -96,6 +96,23 @@ _BLOCK = 1 << 20
 _log = logging.getLogger("schurgrid")
 
 
+def _blocks(
+    mx: np.ndarray, my: np.ndarray, dtype: type, rows: int
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """``(left rows, right rows)`` slices that cover every pair of rows of
+    two sides with multiplicities ``mx`` and ``my``, about ``rows`` pairs a
+    block (one left row at least), and the products of their weights, each
+    block's cast to ``dtype``.  With one side empty there is no block, so the
+    other side's weights, which may not fit ``dtype``, are never cast."""
+    rows = max(1, rows)
+    for i in range(0, len(mx) if len(my) else 0, rows):
+        step = max(1, rows // min(rows, len(mx) - i))
+        for j in range(0, len(my), step):
+            xs, ys = slice(i, i + rows), slice(j, j + step)
+            ms = mx[xs].astype(dtype, copy=False), my[ys].astype(dtype, copy=False)
+            yield xs, ys, np.multiply.outer(*ms).ravel()
+
+
 def _compositions(
     am: PermMultiset, bm: PermMultiset
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -108,20 +125,11 @@ def _compositions(
     n = am.n
     if n != bm.n:
         raise ValueError("degree mismatch")
-    if not (len(am) and len(bm)):  # the weights of one side may not fit dtype
-        return
     dtype = _mult_dtype(am.total_size() * bm.total_size())
     x, y = am.words, bm.words - 1
-    mx, my = am.mults.astype(dtype, copy=False), bm.mults.astype(dtype, copy=False)
-    rows = max(1, _BLOCK // max(n, 1))
-    for i in range(0, len(x), rows):
-        xs, ms = x[i : i + rows], mx[i : i + rows]
-        step = max(1, rows // len(xs))
-        for j in range(0, len(y), step):
-            ys = y[j : j + step]
-            # xs[:, ys][r, c] is the word xs[r] after ys[c].
-            words = xs[:, ys].reshape(len(xs) * len(ys), n)
-            yield words, np.multiply.outer(ms, my[j : j + step]).ravel()
+    for xs, ys, weights in _blocks(am.mults, bm.mults, dtype, _BLOCK // max(n, 1)):
+        # x[xs][:, y[ys]][r, c] is the word x[xs][r] after y[ys][c].
+        yield x[xs][:, y[ys]].reshape(len(weights), n), weights
 
 
 def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
@@ -182,20 +190,13 @@ def product_qsym_grid(
     dtype = _mult_dtype(total)
     acc = np.zeros(len(ls) * len(rs) * width, dtype)
     lbase, rbase, y = lid * (len(rs) * width), rid * width, y - 1
-    rows = max(1, _BLOCK // 64)
     blocks = 0
-    # With no right rows the total is 0 and left weights may not fit dtype.
-    for i in range(0, len(x) if len(y) else 0, rows):
-        xs, ms = x[i : i + rows], mx[i : i + rows].astype(dtype, copy=False)
-        step = max(1, rows // len(xs))
-        for j in range(0, len(y), step):
-            ys = y[j : j + step]
-            # xs[:, ys[:, c]][r, s] is letter c of the word xs[r] after ys[s].
-            keys = lbase[i : i + rows, None] + rbase[None, j : j + step]
-            keys += _descent_masks(n, keys.shape, lambda c: xs[:, ys[:, c]])
-            weights = np.multiply.outer(ms, my[j : j + step].astype(dtype, copy=False))
-            np.add.at(acc, keys.ravel(), weights.ravel())
-            blocks += 1
+    for xs, ys, weights in _blocks(mx, my, dtype, _BLOCK // 64):
+        # x[xs][:, y[ys][:, c]][r, s] is letter c of the word x[xs][r] after y[ys][s].
+        keys = lbase[xs, None] + rbase[None, ys]
+        keys += _descent_masks(n, keys.shape, lambda c: x[xs][:, y[ys][:, c]])
+        np.add.at(acc, keys.ravel(), weights)
+        blocks += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "product_qsym_grid %d x %d: %d compositions in %d blocks",
@@ -484,6 +485,7 @@ BATTERY_FAMILIES = ("knuth", "conj", "invfix", "Dinv", "colayer")
 
 
 def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
+    """The named sets of one of ``BATTERY_FAMILIES`` at degree ``n``."""
     if fam == "knuth":
         return [
             (f"knuth[{''.join(map(str, c.words[0].tolist()))}]", c)
@@ -501,20 +503,15 @@ def _battery_family(n: int, fam: str) -> list[tuple[str, PermSet]]:
     if fam == "Dinv":
         classes = inv_descent_classes(n)
         return [(f"Dinv{DescSet(n, m).braces()}", c) for m, c in enumerate(classes)]
-    if fam == "colayer":
-        return [(f"colayer[{k}]", colayered_class(n, k)) for k in range(1, n + 1)]
-    raise ValueError(f"unknown battery family {fam!r}")
+    return [(f"colayer[{k}]", colayered_class(n, k)) for k in range(1, n + 1)]
 
 
-def fine_battery(
-    n: int, families: Sequence[str] | None = None
-) -> list[tuple[str, PermSet]]:
+def fine_battery(n: int) -> list[tuple[str, PermSet]]:
     """Named sets with symmetric, Schur-positive descent generating
-    functions, drawn from the requested families (default: all of
-    ``BATTERY_FAMILIES``).
+    functions, drawn from every family of ``BATTERY_FAMILIES`` in turn.
 
-    >>> [name for name, _ in fine_battery(3, families=("conj",))]
-    ['conj[3]', 'conj[2,1]', 'conj[1,1,1]']
+    >>> [name for name, _ in fine_battery(2)]  # doctest: +NORMALIZE_WHITESPACE
+    ['knuth[12]', 'knuth[21]', 'conj[2]', 'conj[1,1]', 'invfix[0]', 'invfix[1]',
+     'Dinv{}', 'Dinv{1}', 'colayer[1]', 'colayer[2]']
     """
-    chosen = BATTERY_FAMILIES if families is None else tuple(families)
-    return [entry for fam in chosen for entry in _battery_family(n, fam)]
+    return [entry for fam in BATTERY_FAMILIES for entry in _battery_family(n, fam)]

@@ -46,6 +46,7 @@ from .permutations import (
     _mult_dtype,
     as_multiset,
     composition_boundary_mask,
+    sorted_composition_key,
 )
 from .tableaux import Partition, SkewShape, partitions
 
@@ -353,25 +354,11 @@ def monomial_coefficients(q: QSym) -> list[int]:
 @lru_cache(maxsize=None)
 def _class_reps(n: int) -> np.ndarray:
     """For each mask of degree ``n``, the least mask whose blocks are a
-    rearrangement of its blocks: the id of its rearrangement class.  The
-    blocks of all masks are counted by length at once, one position at a
-    time; masks with equal counts share a class, and a stable sort of the
-    counts puts the least mask of each class first."""
-    masks = np.arange(_width(n))
-    counts = np.zeros((len(masks), n + 2), np.int64)
-    run = np.ones_like(masks)
-    for i in range(n - 1):
-        ends = np.flatnonzero(masks >> i & 1)
-        counts[ends, run[ends]] += 1
-        run += 1
-        run[ends] = 1
-    counts[masks, run] += 1
-    order = np.lexsort(counts.T)
-    ordered = counts[order]
-    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
-    reps = np.empty_like(masks)
-    reps[order] = order[starts][np.cumsum(starts) - 1]
-    return reps
+    rearrangement of its blocks (the same ``sorted_composition_key``): the
+    id of its rearrangement class."""
+    least: dict[tuple[int, ...], int] = {}
+    keys = (sorted_composition_key(DescSet(n, mask)) for mask in range(_width(n)))
+    return np.array([least.setdefault(key, mask) for mask, key in enumerate(keys)])
 
 
 def _monomial_witness(q: QSym, mono: np.ndarray) -> NotSymmetric | None:

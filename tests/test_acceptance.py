@@ -42,7 +42,6 @@ from schurgrid.permsets import (
     k_class,
     knuth_class,
     left_unimodal_class,
-    multiset_product,
     one_column_class,
     plus_class,
     product_qsym,

@@ -23,7 +23,6 @@ from schurgrid.characters import (
     signed_char_vector,
     z_of,
 )
-from schurgrid.permutations import des_set, inverse
 from schurgrid.qsym import (
     QSym,
     SchurExpansion,

@@ -119,7 +119,23 @@ def test_resource_skip_honors_budget(monkeypatch):
     assert check_budget() == 10
     report = run_check("thm-main-2", 6)
     assert report.status == "resource-skipped"
-    assert "budget" in report.notes
+    assert report.notes == (
+        "estimated work 39600 exceeds budget 10; raise SCHURGRID_CHECK_BUDGET"
+        " to force"
+    )
+
+
+def test_check_refused_by_the_grid_gate_is_skipped(monkeypatch):
+    # prop-prod-onecol enumerates one-column classes of n cells: 4**5 = 1024
+    # words at n = 5 exceed a grid budget of 300.
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "300")
+    monkeypatch.setattr(grids, "_grid_cache", {})  # a cached class skips the gate
+    report = run_check("prop-prod-onecol", 5)
+    assert (report.status, report.lhs, report.rhs) == ("resource-skipped", "", "")
+    assert report.notes == (
+        "grid enumeration over budget: enumeration needs 1024 words (budget"
+        " 300); raise SCHURGRID_GRID_BUDGET"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +196,35 @@ def test_scan_rerun_detects_tampered_verdict(field):
         scan_conjecture(conj_id, n)
 
 
+UNREADABLE = {
+    "cases": lambda payload: json.dumps({**payload, "cases": "many"}),
+    "created": lambda payload: json.dumps(
+        {key: value for key, value in payload.items() if key != "created"}
+    ),
+    "text": lambda payload: "{not json",
+}
+
+
+@pytest.mark.parametrize("tamper", UNREADABLE)
+def test_scan_rerun_refuses_an_unreadable_verdict(tamper):
+    # A stored file that holds no record is neither trusted nor replaced.
+    scan_conjecture("knuth-product", 5)
+    path = results_dir() / "knuth-product-n5.json"
+    text = UNREADABLE[tamper](json.loads(path.read_text()))
+    path.write_text(text)
+    with pytest.raises(RuntimeError, match="cannot be read") as caught:
+        scan_conjecture("knuth-product", 5)
+    assert str(path) in str(caught.value)
+    assert path.read_text() == text
+
+
 def test_scan_budget_stop(monkeypatch):
     monkeypatch.setenv("SCHURGRID_CHECK_BUDGET", "1")
     report = scan_conjecture("conj-10-3", 5)
     assert report.status == "holds-up-to"
     assert report.frontier == 2
     assert report.records == ()
-    assert "exceeds" in report.notes and "budget" in report.notes
+    assert report.notes == "stopped before n=3: estimated work 432 exceeds budget 1"
 
 
 def test_scan_stopped_by_the_grid_gate_keeps_its_frontier(monkeypatch, tmp_path):

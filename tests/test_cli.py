@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import schurgrid
-from schurgrid import cli
+from schurgrid import cli, grids
 from schurgrid.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -162,7 +162,16 @@ def test_check_resource_skip_exits_one(capsys, monkeypatch):
     code, out, err = run(capsys, ["check", "thm-main-2", "--n", "6"])
     assert code == EXIT_USAGE
     assert "resource-skipped" in out
-    assert "budget" in err
+    assert err == "resource budget exceeded; raise SCHURGRID_CHECK_BUDGET or lower --n\n"
+
+
+def test_check_refused_by_the_grid_gate_names_the_grid_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "300")
+    monkeypatch.setattr(grids, "_grid_cache", {})  # a cached class skips the gate
+    code, out, err = run(capsys, ["check", "prop-prod-onecol", "--n", "5"])
+    assert code == EXIT_USAGE
+    assert "resource-skipped" in out
+    assert err == "resource budget exceeded; raise SCHURGRID_GRID_BUDGET or lower --n\n"
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from schurgrid.grids import GridResourceError
 from schurgrid.permutations import (
     DescSet,
     cdes_count,
-    compose,
     des_set,
     inverse,
     parse_perm,
@@ -300,19 +299,32 @@ def test_multiset_product_total_size_multiplies():
     assert set_product(a, b) == prod.support()
 
 
+HUGE = as_multiset({(1, 2): 2**62, (2, 1): 3}, 2)
+
+
 @settings(max_examples=80, deadline=None)
-@given(multiset_pairs)
-@example((as_multiset([()]).scale(3), as_multiset([()]).scale(5)))
-@example((as_multiset([], 3), as_multiset(symmetric_group(3))))
-@example((as_multiset(symmetric_group(3)), as_multiset([], 3)))
-@example((as_multiset({(1, 2): 10**12, (2, 1): 1}, 2),) * 2)
-@example((as_multiset({(2, 1): 2**64}, 2), as_multiset([], 2)))
-def test_product_qsym_equals_materialized_product(pair):
+@given(multiset_pairs, st.sampled_from((None, 2, 12)))
+@example((as_multiset([()]).scale(3), as_multiset([()]).scale(5)), None)
+@example((as_multiset([], 3), as_multiset(symmetric_group(3))), None)
+@example((as_multiset(symmetric_group(3)), as_multiset([], 3)), None)
+@example((as_multiset({(1, 2): 10**12, (2, 1): 1}, 2),) * 2, None)
+@example((as_multiset({(2, 1): 2**64}, 2), as_multiset([], 2)), None)
+@example((as_multiset({(2, 1): 2**64}, 2), as_multiset([], 2)), 2)
+@example((as_multiset([], 2), as_multiset({(2, 1): 2**64}, 2)), 2)
+@example((HUGE, HUGE.scale(5)), 2)
+@example((as_multiset(inversion_ball(4, 1)).scale(3), as_multiset(inversion_sphere(4, 2))), 12)
+def test_product_qsym_equals_materialized_product(pair, block):
+    """Both products and the folded vector equal the pure-Python product's,
+    with ``block`` (when given) patched in as the block size, so that the
+    composition walk splits both sides."""
     a, b = pair
     expected = reference_product(a, b)
-    assert multiset_product(a, b) == expected
-    assert set_product(a, b) == expected.support()
-    assert product_qsym(a, b) == expected.qsym()
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(permsets, "_BLOCK", block)
+        assert multiset_product(a, b) == expected
+        assert set_product(a, b) == expected.support()
+        assert product_qsym(a, b) == expected.qsym()
     assert product_qsym(a, b) == multiset_product(a, b).qsym()
 
 
@@ -320,9 +332,6 @@ def _grid_case(n):
     return st.tuples(
         st.lists(multisets_of(n), max_size=3), st.lists(multisets_of(n), max_size=3)
     )
-
-
-HUGE = as_multiset({(1, 2): 2**62, (2, 1): 3}, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -538,8 +547,6 @@ def test_battery_members_are_fine():
         assert len({name for name, _ in battery}) == len(battery)
         for name, cls in battery:
             assert fineness(qsym_of(cls, n)) == "fine", name
-    with pytest.raises(ValueError):
-        fine_battery(3, families=("nonsense",))
 
 
 def test_knuth_battery_family_groups_s_n_by_insertion_tableau():
@@ -553,7 +560,7 @@ def test_knuth_battery_family_groups_s_n_by_insertion_tableau():
         expected = [
             classes[t] for mu in partitions(n) for t in enumerate_syt(straight_shape(mu))
         ]
-        family = fine_battery(n, families=("knuth",))
+        family = permsets._battery_family(n, "knuth")
         assert [name for name, _ in family] == [
             f"knuth[{''.join(map(str, words[0]))}]" for words in expected
         ]
@@ -592,7 +599,7 @@ def inversions(w):
 def test_conj_and_invfix_families_are_level_sets():
     for n in range(1, 8):
         words = list(itertools.permutations(range(1, n + 1)))
-        conj = fine_battery(n, families=("conj",))
+        conj = permsets._battery_family(n, "conj")
         assert [name for name, _ in conj] == [
             "conj[" + ",".join(map(str, rho)) + "]" for rho in partitions(n)
         ]
@@ -600,7 +607,7 @@ def test_conj_and_invfix_families_are_level_sets():
             assert cls == conjugacy_class(n, rho)
             assert cls == {w for w in words if cycle_type(w) == rho}
             assert_strictly_increasing(cls)
-        invfix = fine_battery(n, families=("invfix",))
+        invfix = permsets._battery_family(n, "invfix")
         assert len(invfix) == n * (n - 1) // 2 + 1
         for k, (name, cls) in enumerate(invfix):
             assert name == f"invfix[{k}]"
@@ -633,7 +640,7 @@ def test_level_set_passes_refuse_s_n_before_allocating(monkeypatch):
         inversion_sphere(4, 2)
     for fam in ("conj", "invfix", "Dinv"):
         with refused():
-            fine_battery(4, families=(fam,))
+            permsets._battery_family(4, fam)
 
 
 def test_inverses_match_the_argsort_reference():
