@@ -337,12 +337,11 @@ def _expand_battery(battery_of: Callable[[int], list[tuple[str, PermSet]]], n: i
 
 
 def _kronecker_sides(
-    n: int, sets: list[PermSet], rows: np.ndarray, right: PermSet, e: SchurExpansion
+    n: int, cells: np.ndarray, rows: np.ndarray, e: SchurExpansion
 ) -> list[tuple[str, str, str]]:
-    """For each battery set (with its Schur row): its product with ``right``
-    folded, the fundamental vector of the Kronecker product of its row with
-    ``e``, and ``Schur-positive`` or else that product's expansion."""
-    folded = _qsyms(n, product_qsym_grid(sets, [right])[:, 0])
+    """For each battery set (with its Schur row) and its product's row of
+    ``cells``: that vector, the fundamental vector of the Kronecker product of
+    its row with ``e``, and ``Schur-positive`` or else that product's expansion."""
     products = kronecker_rows(rows, e)
     fvecs = _qsyms(n, schur_f_rows(n, products))
     positive = (products >= 0).all(axis=1)
@@ -352,7 +351,7 @@ def _kronecker_sides(
             rhs.serialize(),
             "Schur-positive" if ok else SchurExpansion.from_row(n, row).serialize(),
         )
-        for lhs, rhs, ok, row in zip(folded, fvecs, positive, products)
+        for lhs, rhs, ok, row in zip(_qsyms(n, cells), fvecs, positive, products)
     ]
 
 
@@ -470,15 +469,21 @@ def _scan(
 
 @_check(
     "thm-main-1", 5, 2,
-    lambda n: _battery_count(n) * _fubini(n) * (6 * _fact(n) // _battery_count(n)),
+    lambda n: 6 * _fact(n) ** 2,
     "Right multiset product with a weak inverse-descent class matches the"
     " pointwise character product route and is Schur-positive; the weak"
     " class expands as the sum of its ribbon summands.",
 )
 def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery, rows = _expanded_battery(n)
-    bsets = [bset for _, bset, _ in battery]
-    for d, rclass in zip(_dessets(n, n - 1), inv_weak_descent_classes(n)):
+    cells = product_qsym_grid([bset for _, bset, _ in battery], inv_descent_classes(n))
+    # Des(w^-1) lies in J iff it equals exactly one subset of J: each weak cell is
+    # the sum of the exact cells over the subsets of J (a zeta transform, bit by bit).
+    for bit in range(n - 1):
+        halves = cells.reshape(len(battery), -1, 2, 1 << bit, cells.shape[2])
+        halves[:, :, 1] += halves[:, :, 0]
+    weak = zip(_dessets(n, n - 1), inv_weak_descent_classes(n), cells.transpose(1, 0, 2))
+    for d, rclass, folded in weak:
         r_expansion = SchurExpansion.zero(n)
         for size in range(len(d.members) + 1):
             for chosen in itertools.combinations(d.members, size):
@@ -489,7 +494,7 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
             direct.serialize(),
             r_expansion.serialize(),
         )
-        sides = _kronecker_sides(n, bsets, rows, rclass, r_expansion)
+        sides = _kronecker_sides(n, folded, rows, r_expansion)
         for (name, _, _), (lhs, rhs, positive) in zip(battery, sides):
             label = f"{name} * R{d.braces()}"
             led.add(label, lhs, rhs)
@@ -518,9 +523,8 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     sides: dict[tuple[int, DescSet], tuple[str, str, str]] = {}
     dclasses = inv_descent_classes(n)
     for d, idx in paired.items():
-        found = _kronecker_sides(
-            n, [battery[i][1] for i in idx], rows[idx], dclasses[d.mask], _ribbon_schur(n, d)
-        )
+        folded = product_qsym_grid([battery[i][1] for i in idx], [dclasses[d.mask]])
+        found = _kronecker_sides(n, folded[:, 0], rows[idx], _ribbon_schur(n, d))
         sides.update(zip([(i, d) for i in idx], found))
     for i, d in pairs:
         lhs, rhs, positive = sides[i, d]
@@ -1018,9 +1022,9 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
     " corner cell to its Schur support.",
 )
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
-    cyc = cyclic_class(n)
-    for name, bset, be in _expanded_battery(n - 1)[0]:
-        lhs = product_qsym(embed(bset, n), cyc)
+    battery = _expanded_battery(n - 1)[0]
+    cells = product_qsym_grid([embed(b, n) for _, b, _ in battery], [cyclic_class(n)])
+    for (name, _, be), lhs in zip(battery, _qsyms(n, cells[:, 0])):
         rhs = schur_f_vector(pieri_up(be))
         led.add(name, lhs.serialize(), rhs.serialize())
 

@@ -173,13 +173,18 @@ def product_qsym_grid(
     Entry ``[i, j]`` of the ``(len(lefts), len(rights), 2**(n-1))`` result
     holds the coefficients of ``product_qsym(lefts[i], rights[j])``; its
     dtype is ``int64``, or ``object`` once ``sum(total(lefts)) *
-    sum(total(rights))`` reaches 2**63.  All members are stacked into one
-    word matrix per side and composed in blocks of ``_BLOCK // 64``
-    compositions (an ``int64`` key and weight and a descent mask each, about
-    a third of ``_BLOCK`` bytes); each composition is folded at key ``(i *
-    len(rights) + j) * 2**(n-1) + descent mask`` by one ``np.add.at`` per
-    block, so no product is materialized.  With no members at all the degree is unknown and the
-    last axis has length 1.
+    sum(total(rights))`` reaches 2**63.  Each side is stacked into one word
+    matrix, the left one transposed so that row ``c`` holds letter ``c`` of
+    every left word.  Pairs are composed letter-major in blocks of ``_BLOCK
+    // 32`` compositions: letter ``c`` of every left word of a block after
+    right word ``s`` is row ``s[c]`` of the transposed block, one gather of
+    whole contiguous rows indexed by one letter column of the block's right
+    words (only that column is cast to ``intp``).  A composition holds about
+    24 bytes of its block (an ``int64`` key and weight, a descent mask, the
+    letters in hand), so a block stays under ``_BLOCK`` bytes.  Each is
+    folded at key ``(i * len(rights) + j) * 2**(n-1) + descent mask`` by one
+    ``np.add.at`` per block, so no product is materialized.  With no members
+    the degree is unknown and the last axis has length 1.
     """
     ls, rs = [as_multiset(a) for a in lefts], [as_multiset(b) for b in rights]
     n = next((m.n for m in ls + rs), 0)
@@ -189,12 +194,13 @@ def product_qsym_grid(
     total = sum(a.total_size() for a in ls) * sum(b.total_size() for b in rs)
     dtype = _mult_dtype(total)
     acc = np.zeros(len(ls) * len(rs) * width, dtype)
-    lbase, rbase, y = lid * (len(rs) * width), rid * width, y - 1
+    lbase, rbase, xt, y = lid * (len(rs) * width), rid * width, x.T.copy(), y - 1
     blocks = 0
-    for xs, ys, weights in _blocks(mx, my, dtype, _BLOCK // 64):
-        # x[xs][:, y[ys][:, c]][r, s] is letter c of the word x[xs][r] after y[ys][s].
+    for xs, ys, weights in _blocks(mx, my, dtype, _BLOCK // 32):
+        # xt[:, xs][y[ys, c]][s, r] is letter c of x[r] after y[s], so the masks
+        # come out (s, r) and are added transposed.
         keys = lbase[xs, None] + rbase[None, ys]
-        keys += _descent_masks(n, keys.shape, lambda c: x[xs][:, y[ys][:, c]])
+        keys += _descent_masks(n, keys.shape[::-1], lambda c: xt[:, xs][y[ys, c]]).T
         np.add.at(acc, keys.ravel(), weights)
         blocks += 1
     if _log.isEnabledFor(logging.DEBUG):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from schurgrid import checks, grids
 from schurgrid.checks import (
     _REGISTRY,
     CHECK_IDS,
+    DEFAULT_CHECK_BUDGET,
     SCAN_IDS,
     CheckReport,
     GridResourceError,
@@ -30,8 +32,10 @@ from schurgrid.permsets import (
     embed,
     inv_descent_class,
     inv_weak_descent_class,
+    inv_weak_descent_classes,
     multiset_product,
     product_qsym,
+    product_qsym_grid,
 )
 from schurgrid.permutations import DescSet, format_words
 from schurgrid.qsym import SchurExpansion
@@ -330,6 +334,61 @@ def test_planted_ribbon_fault_is_reported_at_the_same_case(monkeypatch):
         "2*s[4] + s[3,1] + s[2,2]",
         "counterexample at case 'R{2} two routes'",
     )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_thm_main_1_weak_cells_equal_the_weak_class_fold(monkeypatch, n):
+    # thm-main-1 folds the battery against the exact classes once and sums
+    # them over subsets; its weak cells must equal a direct fold against
+    # every weak class.
+    seen = []
+    sides = checks._kronecker_sides
+
+    def record(n, cells, rows, e):
+        seen.append(cells.copy())
+        return sides(n, cells, rows, e)
+
+    monkeypatch.setattr(checks, "_kronecker_sides", record)
+    assert run_check("thm-main-1", n).status == "verified"
+    bsets = [bset for _, bset, _ in checks._expanded_battery(n)[0]]
+    direct = product_qsym_grid(bsets, list(inv_weak_descent_classes(n)))
+    assert np.array_equal(np.stack(seen, axis=1), direct)
+
+
+def test_planted_exact_cell_fault_refutes_at_the_first_weak_class_holding_it(monkeypatch):
+    # One extra F{1,2} in the product of the third battery set with the exact
+    # class D{1,3}: the weak classes R{J} with J a superset of {1,3} all hold
+    # it, and the first of them in case order is R{1,3}.
+    grid = checks.product_qsym_grid
+
+    def planted(lefts, rights):
+        cells = grid(lefts, rights)
+        cells[2, DescSet.of(4, [1, 3]).mask, DescSet.of(4, [1, 2]).mask] += 1
+        return cells
+
+    monkeypatch.setattr(checks, "product_qsym_grid", planted)
+    report = run_check("thm-main-1", 4)
+    assert (report.status, report.lhs, report.rhs, report.notes) == (
+        "refuted",
+        "n=4; 2*F{} + 5*F{1} + 8*F{2} + 5*F{1,2} + 5*F{3} + 7*F{1,3} + 4*F{2,3} + F{1,2,3}",
+        "n=4; 2*F{} + 5*F{1} + 8*F{2} + 4*F{1,2} + 5*F{3} + 7*F{1,3} + 4*F{2,3} + F{1,2,3}",
+        "counterexample at case 'knuth[1324] * R{1,3}'",
+    )
+
+
+@pytest.mark.parametrize("check_id, n", [("thm-main-1", 4), ("thm-horiz-induction", 5)])
+def test_battery_checks_fold_once(caplog, check_id, n):
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    assert run_check(check_id, n).status == "verified"
+    folds = [r for r in caplog.records if r.getMessage().startswith("product_qsym_grid")]
+    assert len(folds) == 1
+
+
+def test_thm_main_1_cost_admits_degree_seven_only():
+    # The cost model counts the compositions of the one battery x S_n fold:
+    # at most 6 * n! battery words against the n! words of S_n.
+    cost = _REGISTRY["thm-main-1"].cost
+    assert cost(7) <= DEFAULT_CHECK_BUDGET < cost(8)
 
 
 def test_expanded_battery_follows_a_patched_battery(monkeypatch):

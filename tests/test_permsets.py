@@ -335,7 +335,7 @@ def _grid_case(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 4).flatmap(_grid_case), st.sampled_from((None, 5)))
+@given(st.integers(0, 4).flatmap(_grid_case), st.sampled_from((None, 32 * 3, 32 * 7)))
 @example(([HUGE, HUGE], [HUGE.scale(5)]), None)
 @example(([as_multiset([], 3), as_multiset(symmetric_group(3))], [as_multiset([], 3)]), None)
 @example(([as_multiset([], 2)], []), None)
@@ -345,11 +345,22 @@ def _grid_case(n):
         [symmetric_group(4), as_multiset([], 4), inversion_ball(4, 2)],
         [as_multiset(inversion_sphere(4, 3)).scale(7), symmetric_group(4)],
     ),
-    12,
+    32 * 3,
+)
+@example(
+    (
+        [inversion_sphere(4, 2), inversion_ball(4, 1), as_multiset([(2, 1, 4, 3)]).scale(3)],
+        [inversion_sphere(4, 1), as_multiset([(4, 3, 2, 1), (1, 2, 3, 4)]).scale(2)],
+    ),
+    32 * 7,
 )
 def test_product_qsym_grid_matches_reference(case, block):
     """Every cell equals the pure-Python product's vector, with ``block``
-    (when given) patched in as the block size, so that both sides split."""
+    (when given) patched in as the block size, so that both sides split
+    into blocks of several rows: ``32 * 7`` takes seven compositions a
+    block, so the last example's ten left rows span two blocks, the first
+    crossing a member boundary, and its five right rows end in a partial
+    block of one."""
     lefts, rights = ([as_multiset(x) for x in side] for side in case)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
