@@ -82,6 +82,7 @@ from .qsym import (
     NotSymmetric,
     QSym,
     SchurExpansion,
+    _subset_sums,
     cache_dir,
     is_schur_positive,
     qsym_of,
@@ -478,10 +479,8 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     battery, rows = _expanded_battery(n)
     cells = product_qsym_grid([bset for _, bset, _ in battery], inv_descent_classes(n))
     # Des(w^-1) lies in J iff it equals exactly one subset of J: each weak cell is
-    # the sum of the exact cells over the subsets of J (a zeta transform, bit by bit).
-    for bit in range(n - 1):
-        halves = cells.reshape(len(battery), -1, 2, 1 << bit, cells.shape[2])
-        halves[:, :, 1] += halves[:, :, 0]
+    # the sum of the exact cells over the subsets of J (a zeta transform).
+    _subset_sums(cells, axis=1)
     weak = zip(_dessets(n, n - 1), inv_weak_descent_classes(n), cells.transpose(1, 0, 2))
     for d, rclass, folded in weak:
         r_expansion = SchurExpansion.zero(n)
@@ -612,10 +611,11 @@ def _rotation_images(
     ``j``, and the row word of the image, whose column ``c`` holds
     ``sigma^-1[c] + k`` (mod ``n``) in the row of that column."""
     m, n = words.shape
-    p, states = words.astype(np.intp) - 1, np.arange(m)[:, None]
-    k = (np.argmax(p == n - 1, axis=1) + 1) % n
-    sigma = np.take_along_axis(p, (np.arange(n) + k[:, None]) % n, axis=1)
-    sigma_inv = np.argsort(sigma, axis=1)
+    small = np.min_scalar_type(2 * n)  # holds a letter plus a rotation index
+    p, states = words.astype(small) - 1, np.arange(m)[:, None]
+    k = ((np.argmax(p == n - 1, axis=1) + 1) % n).astype(small)
+    sigma = np.take_along_axis(p, (np.arange(n, dtype=small) + k[:, None]) % n, axis=1)
+    sigma_inv = np.argsort(sigma, axis=1).astype(small)
     masks = _descent_masks(n, (m,), lambda c: sigma_inv[:, c])
     decomposes = (sigma[:, -1] == n - 1) & (masks & (((1 << (n - 1)) - 1) ^ j.mask) == 0)
     column_row = [r for r, _ in sorted(shape.cells(), key=lambda cell: cell[1])]

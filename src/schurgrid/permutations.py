@@ -37,7 +37,6 @@ __all__ = [
     "cdes_count",
     "inverse",
     "compose",
-    "composition_partial_sums",
     "composition_boundary_mask",
     "composition_of_descents",
     "sorted_composition_key",
@@ -242,21 +241,12 @@ def compose(p: Perm, q: Perm) -> Perm:
 # ---------------------------------------------------------------------------
 
 
-def composition_partial_sums(mu: Composition) -> tuple[int, ...]:
-    """Proper partial sums: ``mu_1, mu_1+mu_2, ...`` excluding the total."""
-    sums = []
-    total = 0
-    for part in mu[:-1]:
-        total += part
-        sums.append(total)
-    return tuple(sums)
-
-
 def composition_boundary_mask(mu: Composition) -> int:
     """Bitmask over ``[n-1]`` of the proper partial sums of ``mu``."""
-    mask = 0
-    for s in composition_partial_sums(mu):
-        mask |= 1 << (s - 1)
+    mask = total = 0
+    for part in mu[:-1]:
+        total += part
+        mask |= 1 << (total - 1)
     return mask
 
 

@@ -9,19 +9,20 @@ shape counts its standard tableaux by descent set, built once per degree in
 memory by placing the entries ``1..n`` one at a time.  Started from an
 inner shape, the same walk gives the fundamental vector of any skew shape:
 the sum of ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).
-Summing the row of ``mu`` over the subsets of the partial sums of
-``lambda`` gives the Kostka number ``K[mu][lambda]``, and the Kostka
-matrix is unitriangular in the lex-decreasing order of :func:`partitions`.
 
-Each degree's table keeps, built on first use, the integer inverse of the
-Kostka matrix (found by back-substitution).  The Schur coefficients of a vector
-are its monomial coefficients (a subset-sum transform) at the partitions
-times that inverse; the vector is symmetric exactly when the coefficients
-times the matrix rebuild it, and otherwise the first mask whose monomial
-coefficient differs from that of the least mask of its rearrangement
-class witnesses that it is not.  Every product runs in ``int64`` when its
-length times the largest entries of its two sides stays below 2**63, and in
-Python ints (``object`` arrays) otherwise.
+One in-place subset-sum (zeta) transform, one vectorised add per bit,
+takes fundamental coefficients to monomial ones.  Applied to the row of
+``mu`` and read at the partial-sum mask of ``lambda`` it gives the Kostka
+number ``K[mu][lambda]``; the Kostka matrix is unitriangular in the
+lex-decreasing order of :func:`partitions`, and each degree's table keeps,
+built on first use, its integer inverse (found by back-substitution).  The
+Schur coefficients of a vector are its monomial coefficients at the
+partitions times that inverse; the vector is symmetric exactly when the
+coefficients times the matrix rebuild it, and otherwise the first mask
+whose monomial coefficient differs from that of the least mask of its
+rearrangement class witnesses that it is not.  Every product runs in
+``int64`` when its length times the largest entries of its two sides stays
+below 2**63, and in Python ints (``object`` arrays) otherwise.
 
 >>> schur_expand(QSym.unit(3) + QSym.single(3, DescSet.of(3, [1]))
 ...              + QSym.single(3, DescSet.of(3, [2]))).serialize()
@@ -333,16 +334,27 @@ def _exact_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return rows.astype(dtype, copy=False) @ matrix.astype(dtype, copy=False)
 
 
+def _subset_sums(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The subset-sum (zeta) transform of the C-contiguous array ``a`` along
+    ``axis``, in place: entry ``m`` (``axis`` has length ``2**k``) becomes the
+    sum of the entries at the submasks of ``m``.  One add per bit, over a
+    reshaped view whose pairs of slabs differ in that bit.  Returns ``a``."""
+    assert a.flags.c_contiguous, "a reshaped copy would lose the sums"
+    axis %= a.ndim
+    head, tail, lead = a.shape[:axis], a.shape[axis + 1 :], (slice(None),) * (axis + 1)
+    for bit in range(a.shape[axis].bit_length() - 1):
+        pairs = a.reshape(*head, -1, 2, 1 << bit, *tail)
+        pairs[lead + (1,)] += pairs[lead + (0,)]
+    return a
+
+
 def _monomials(q: QSym) -> np.ndarray:
-    """The subset-sum (zeta) transform of the fundamental coefficients, one
-    bit at a time over the mask pairs that differ in it.  No value exceeds
-    the sum of ``|coeffs|``, so their number times the largest fixes the
-    dtype."""
-    v = np.array(q.coeffs, _mult_dtype(len(q.coeffs) * max(map(abs, q.coeffs))))
-    for bit in range(q.n - 1):
-        pairs = v.reshape(-1, 2, 1 << bit)
-        pairs[:, 1] += pairs[:, 0]
-    return v
+    """The subset-sum transform of the fundamental coefficients.  No value
+    exceeds the sum of ``|coeffs|``, so their number times the largest fixes
+    the dtype."""
+    return _subset_sums(
+        np.array(q.coeffs, _mult_dtype(len(q.coeffs) * max(map(abs, q.coeffs))))
+    )
 
 
 def monomial_coefficients(q: QSym) -> list[int]:
@@ -385,20 +397,20 @@ def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     :class:`NotSymmetric` certificate.
 
     The monomial coefficients of ``q`` at the partitions of ``n``, times the
-    inverse Kostka matrix, give the candidate coefficients (one product with
-    the table's ``expander``).  The candidate is returned when its
-    fundamental vector is ``q``; otherwise ``q`` is not symmetric and the
-    monomial witness says where.
+    table's inverse Kostka matrix, give the candidate coefficients.  The
+    candidate is returned when its fundamental vector is ``q``; otherwise
+    ``q`` is not symmetric and the monomial witness says where.
 
     >>> isinstance(schur_expand(QSym.single(3, DescSet.of(3, [1]), 2)
     ...                         + QSym.unit(3)), NotSymmetric)
     True
     """
     table = descent_count_table(q.n)
-    coeffs = _exact_matmul(_int_array([q.coeffs]), table.expander)
+    mono = _monomials(q)
+    coeffs = _exact_matmul(mono[None, _bounds(q.n)], table.kostka_inverse)
     if _exact_matmul(coeffs, table.matrix)[0].tolist() == list(q.coeffs):
         return SchurExpansion.from_row(q.n, coeffs[0])
-    witness = _monomial_witness(q, _monomials(q))
+    witness = _monomial_witness(q, mono)
     assert witness is not None, "a vector outside the Schur span is not symmetric"
     return witness
 
@@ -556,9 +568,9 @@ class DescentCountTable:
         """``kostka[i, j]`` = K_{mu lambda}, the number of semistandard
         tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
         ``j``-th partitions of ``n``: the sum of the ``mu`` row over the
-        subsets of the partial sums of ``lambda``, as one integer matrix
-        product."""
-        return self.matrix @ _subsets(self.n)
+        subsets of the partial sums of ``lambda``, read off the subset-sum
+        transform of each row."""
+        return _subset_sums(self.matrix.copy())[:, _bounds(self.n)]
 
     @cached_property
     def kostka_inverse(self) -> np.ndarray:
@@ -572,20 +584,14 @@ class DescentCountTable:
             inverse[i] -= kostka[i, i + 1 :] @ inverse[i + 1 :]
         return _int_array(inverse.tolist())
 
-    @cached_property
-    def expander(self) -> np.ndarray:
-        """The ``2**(n-1) x P`` matrix that takes a vector to its candidate
-        Schur coefficients: its monomial coefficient at each partition (the
-        sum over the subsets of the partial sums) times the inverse Kostka
-        matrix."""
-        return _exact_matmul(_subsets(self.n), self.kostka_inverse)
 
-
-def _subsets(n: int) -> np.ndarray:
-    """``[m, j]`` is 1 when mask ``m`` is a subset of the partial sums of
-    the ``j``-th partition of ``n``, and 0 otherwise."""
-    bounds = np.array([composition_boundary_mask(lam) for lam in partitions(n)])
-    return (np.arange(_width(n))[:, None] & ~bounds == 0).astype(np.int64)
+@lru_cache(maxsize=None)
+def _bounds(n: int) -> np.ndarray:
+    """The mask of the partial sums of each partition of ``n``, in
+    ``partitions(n)`` order (read-only)."""
+    bounds = np.array([composition_boundary_mask(lam) for lam in partitions(n)], np.intp)
+    bounds.flags.writeable = False
+    return bounds
 
 
 def cache_dir() -> Path:

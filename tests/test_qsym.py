@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,35 @@ def test_monomial_coefficients_are_subset_sums():
         assert mono[mask] == expected
 
 
+def brute_subset_sums(a, axis):
+    """Each entry along ``axis`` replaced by the sum of the entries at its
+    submasks, one (mask, submask) pair at a time."""
+    out = np.zeros_like(a)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    for mask in range(a.shape[axis]):
+        for sub in range(mask + 1):
+            if sub & mask == sub:
+                dst[mask] = dst[mask] + src[sub]
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 32])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_subset_sums_match_submask_sums_in_place(axis, width):
+    rng = np.random.default_rng(4 * width + axis)
+    shape = [3, 2, 5]
+    shape[axis] = width
+    small = rng.integers(-1000, 1000, shape)
+    huge = rng.integers(-9, 10, shape).astype(object) * 2**70 + 1
+    assert max(abs(v) for v in huge.ravel().tolist()) > 2**63
+    for a in (small, huge):
+        expected = brute_subset_sums(a, axis)
+        out = qsym._subset_sums(a, axis)
+        assert out is a
+        assert out.dtype == expected.dtype
+        assert out.tolist() == expected.tolist()
+
+
 def test_not_symmetric_witness_frozen():
     res = schur_expand(qsym_of([(2, 1, 3)]))
     assert isinstance(res, NotSymmetric)
@@ -189,6 +219,14 @@ def test_straight_shapes_expand_to_single_schur_terms():
             assert isinstance(e, SchurExpansion)
             assert e == SchurExpansion.single(mu)
             assert schur_f_vector(e) == skew_schur_f_vector(straight_shape(mu))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_schur_expand_inverts_every_schur_function_at_high_degree(n):
+    # Beyond the degrees the hypothesis tests draw.
+    for mu in partitions(n):
+        e = SchurExpansion.single(mu)
+        assert schur_expand(schur_f_vector(e)) == e
 
 
 partition_strategy = st.integers(2, 6).flatmap(
