@@ -168,7 +168,7 @@ class CheckReport:
 
 
 class _CaseLedger:
-    """Collects per-case left/right serializations.
+    """Collects each case's left serialization and the first mismatch.
 
     The check is verified when every case matches; the first mismatch
     becomes the refutation witness.  Verified multi-case checks report a
@@ -177,7 +177,6 @@ class _CaseLedger:
 
     def __init__(self) -> None:
         self._lhs: list[str] = []
-        self._rhs: list[str] = []
         self._mismatch: tuple[str, str, str] | None = None
         self._info: list[str] = []
 
@@ -190,7 +189,6 @@ class _CaseLedger:
 
     def add(self, label: str, lhs: str, rhs: str) -> None:
         self._lhs.append(f"{label} :: {lhs}")
-        self._rhs.append(f"{label} :: {rhs}")
         if lhs != rhs and self._mismatch is None:
             self._mismatch = (label, lhs, rhs)
 

@@ -6,9 +6,9 @@ subsets of ``[n-1]`` (bitmask order); a symmetric function is a map from
 partitions of ``n`` to integers.  The bridge between the two worlds is the
 descent-count table, a ``P x 2**(n-1)`` integer matrix whose row for a
 shape counts its standard tableaux by descent set, built once per degree in
-memory by placing the entries ``1..n`` one at a time.  Started from an
-inner shape, the same walk gives the fundamental vector of any skew shape:
-the sum of ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).
+memory by placing the entries ``1..n`` one count matrix at a time.  Started
+from an inner shape, the same walk gives the fundamental vector of any skew
+shape: the sum of ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).
 
 One in-place subset-sum (zeta) transform, one vectorised add per bit,
 takes fundamental coefficients to monomial ones.  Applied to the row of
@@ -31,10 +31,12 @@ below 2**63, and in Python ints (``object`` arrays) otherwise.
 
 from __future__ import annotations
 
+import logging
+import math
 import os
+import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -452,7 +454,8 @@ def schur_f_vector(e: SchurExpansion) -> QSym:
 # ---------------------------------------------------------------------------
 
 
-def _addable_corners(mu: Partition) -> list[tuple[int, Partition]]:
+@lru_cache(maxsize=4096)
+def _addable_corners(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     """The row of each addable box, with the shape it makes."""
     out = []
     rows = len(mu)
@@ -462,7 +465,7 @@ def _addable_corners(mu: Partition) -> list[tuple[int, Partition]]:
         if above is None or above > here:
             new = list(mu[:i]) + [here + 1] + list(mu[i + 1 :] if i < rows else [])
             out.append((i, tuple(new)))
-    return out
+    return tuple(out)
 
 
 def _removable_corners(mu: Partition) -> list[Partition]:
@@ -514,51 +517,57 @@ def pieri_down(e: SchurExpansion) -> SchurExpansion:
 
 def _placements(
     inner: Partition, n: int, outer: Partition
-) -> dict[Partition, tuple[int, ...]]:
-    """Standard fillings of ``n`` boxes added to ``inner`` inside ``outer``,
-    counted by final shape and descent mask.
+) -> tuple[dict[Partition, np.ndarray], int]:
+    """Standard fillings of ``n`` boxes added to ``inner`` inside ``outer``
+    counted by final shape and descent mask, and the widest level's states.
 
     The entries 1..n are placed one at a time.  A state is the shape filled
-    so far with the row of its largest entry, and holds the tableau counts
-    by descent mask.  Entry k+1 placed in a row below that of k makes k a
-    descent; any other row does not, so a state's vector only moves into the
-    upper or the lower half of the next one and is never recounted.  The
-    start row lies below every row of ``outer``, so entry 1 is no descent."""
-    states: dict[tuple[Partition, int], list[int]] = {(inner, len(outer)): [1]}
+    so far with the row of its largest entry; the states of level ``k`` are
+    the rows of one ``(states, 2**(k-1))`` count matrix, by descent mask.
+    Entry k+1 placed in a row below that of k makes k a descent; any other
+    row does not, so each move (a state and one addable corner inside
+    ``outer``) is one row add into the upper or the lower half of the
+    child's row.  The start row lies below every row of ``outer``, so entry
+    1 is no descent.  The last level (the start one when n = 0) is keyed by
+    shape alone.  An entry of level ``k`` is at most ``k!``: ``int64`` while
+    ``n! < 2**63``, else Python ints."""
+    dtype = _mult_dtype(math.factorial(n))
+    index: dict = {(inner, len(outer)) if n else inner: 0}
+    counts, widest = np.ones((1, 1), dtype), 1
     for k in range(n):
-        width = _width(k)
-        grown: dict[tuple[Partition, int], list[int]] = {}
-        for (shape, row), vec in states.items():
+        width, last = _width(k), k == n - 1
+        grown, moves = {}, []
+        for (shape, row), s in index.items():
             for r, new in _addable_corners(shape):
                 if r < len(outer) and new[r] <= outer[r]:
-                    acc = grown.setdefault((new, r), [0] * _width(k + 1))
-                    lo = width if r > row else 0
-                    acc[lo : lo + width] = map(add, acc[lo : lo + width], vec)
-        states = grown
-    counts: dict[Partition, list[int]] = {}
-    for (shape, _), vec in states.items():
-        counts[shape] = list(map(add, counts.get(shape, [0] * _width(n)), vec))
-    return {shape: tuple(v) for shape, v in counts.items()}
+                    d = grown.setdefault(new if last else (new, r), len(grown))
+                    moves.append((s, d, width if r > row else 0))
+        out = np.zeros((len(grown), _width(k + 1)), dtype)
+        for s, d, lo in moves:
+            out[d, lo : lo + width] += counts[s]
+        index, counts, widest = grown, out, max(widest, len(grown))
+    return {shape: counts[i] for shape, i in index.items()}, widest
 
 
 def skew_schur_f_vector(shape: SkewShape) -> QSym:
     """Fundamental-basis vector of a skew shape: the descent generating
-    function of its standard tableaux, by the placement walk from the inner
-    shape.
+    function of its standard tableaux, read off the one count row the
+    placement walk from the inner shape leaves at the outer shape.
 
     >>> skew_schur_f_vector(SkewShape((2, 1), (1,))).serialize()
     'n=2; F{} + F{1}'
     """
     n = shape.size()
-    return QSym(n, _placements(shape.inner, n, shape.outer)[shape.outer])
+    rows, _ = _placements(shape.inner, n, shape.outer)
+    return QSym(n, tuple(rows[shape.outer].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class DescentCountTable:
     """``matrix[i, mask]`` counts the standard tableaux of the ``i``-th
     partition of ``n`` (in ``partitions(n)`` order) with that descent mask:
-    a ``P x 2**(n-1)`` array (an entry is at most ``n!``, so ``int64`` is
-    exact)."""
+    a ``P x 2**(n-1)`` ``int64`` array, the placement walk's last count
+    matrix in that row order (an entry is at most ``f^mu``, so exact)."""
 
     n: int
     matrix: np.ndarray
@@ -605,6 +614,8 @@ def cache_dir() -> Path:
 
 _table_memory: dict[int, DescentCountTable] = {}
 
+_log = logging.getLogger("schurgrid")
+
 
 def descent_count_table(n: int) -> DescentCountTable:
     """The descent-count table of degree ``n``, built once per process.
@@ -614,11 +625,17 @@ def descent_count_table(n: int) -> DescentCountTable:
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    table = _table_memory.get(n)
-    if table is None:
-        # The n-by-n box holds every partition of n.
-        placed = _placements((), n, (n,) * n)
-        table = _table_memory[n] = DescentCountTable(
-            n, np.array([placed[mu] for mu in partitions(n)], np.int64)
-        )
+    debug, table = _log.isEnabledFor(logging.DEBUG), _table_memory.get(n)
+    if table is not None:
+        if debug:
+            _log.debug("descent table n=%d: memory hit", n)
+        return table
+    t0 = time.perf_counter()
+    rows, widest = _placements((), n, (n,) * n)  # the n-by-n box holds every partition
+    table = _table_memory[n] = DescentCountTable(
+        n, np.array([rows[mu] for mu in partitions(n)], np.int64)
+    )
+    if debug:
+        _log.debug("descent table n=%d: built, %d states at the widest level, %.1f ms",
+                   n, widest, 1e3 * (time.perf_counter() - t0))
     return table

@@ -105,14 +105,15 @@ def test_set_digest_equals_the_string_route(s):
     led = _CaseLedger()
     led.add_sets("same", s, PermSet.from_words(s.words[::-1]))
     expected = f"set of {len(s)} sha256:{_digest(sorted(map(format_perm, s)))}"
-    assert led._lhs == led._rhs == [f"same :: {expected}"]
+    assert led._lhs == [f"same :: {expected}"]
+    assert led._mismatch is None
 
 
 def test_add_sets_reports_the_members_outside_the_other_side():
     led = _CaseLedger()
     led.add_sets("differ", _set(3, [(1, 2, 3), (2, 1, 3)]), _set(3, [(1, 2, 3)]))
     assert led._lhs == ["differ :: set of 2; not on right: 213"]
-    assert led._rhs == ["differ :: set of 1; not on left: -"]
+    assert led.outcome()[1:3] == ("set of 2; not on right: 213", "set of 1; not on left: -")
 
 
 def _inversions(p) -> int:

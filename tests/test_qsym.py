@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -464,6 +466,85 @@ def test_descent_count_table_matches_tableau_enumeration():
                 shapes.append(strip_chain_shape(n, d))
     for shape in shapes:
         assert list(skew_schur_f_vector(shape).coeffs) == syt_tally(shape), shape
+
+
+def hook_length_count(mu):
+    """f^mu, the number of standard tableaux of shape ``mu``, by the
+    hook-length formula."""
+    hooks = 1
+    for i, part in enumerate(mu):
+        for c in range(part):
+            leg = sum(1 for below in mu[i + 1 :] if below > c)
+            hooks *= part - c + leg
+    return math.factorial(sum(mu)) // hooks
+
+
+def descent_class_sizes(n):
+    """beta_n(D) for every mask D, the number of permutations of ``n`` with
+    descent set D: the multinomial of the composition of each subset T (the
+    permutations with descents inside T), inverted over subsets,
+    beta_n(D) = sum over T in D of (-1)^|D - T| times that multinomial
+    (Stanley, EC1 section 1.4)."""
+    sizes = []
+    for mask in range(1 << max(n - 1, 0)):
+        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+        count = math.factorial(n)
+        for a, b in zip(cuts, cuts[1:]):
+            count //= math.factorial(b - a)
+        sizes.append(count)
+    for bit in range(n - 1):
+        for mask in range(len(sizes)):
+            if mask >> bit & 1:
+                sizes[mask] -= sizes[mask ^ (1 << bit)]
+    return sizes
+
+
+def table_identity_faults(n, matrix):
+    """The identities a degree-``n`` descent-count matrix breaks: each row
+    sums to f^mu, and the rows weighted by f^mu sum to beta_n (RSK)."""
+    dims = [hook_length_count(mu) for mu in partitions(n)]
+    faults = []
+    if matrix.sum(axis=1).tolist() != dims:
+        faults.append("row sums")
+    if (np.array(dims, np.int64) @ matrix).tolist() != descent_class_sizes(n):
+        faults.append("descent classes")
+    return faults
+
+
+def test_descent_count_table_beyond_tableau_tally():
+    for n in range(9, 13):
+        matrix = descent_count_table(n).matrix
+        assert matrix.dtype == np.int64
+        assert table_identity_faults(n, matrix) == []
+    planted = descent_count_table(12).matrix.copy()
+    planted[3, 100] += 1
+    assert table_identity_faults(12, planted) == ["row sums", "descent classes"]
+
+
+@pytest.mark.parametrize("n, dtype", [(20, np.int64), (21, object)])
+def test_placement_walk_dtype_boundary(n, dtype):
+    # A tableau of the hook (n - 3, 1, 1, 1) is fixed by the three entries
+    # below its corner, and s - 1 is a descent exactly when s is one of
+    # them: the F-vector is 1 at every mask with three bits, 0 elsewhere.
+    hook = (n - 3, 1, 1, 1)
+    rows, _ = qsym._placements((), n, hook)
+    row = rows[hook]
+    assert row.dtype == dtype
+    masks = np.arange(1 << (n - 1))
+    bits = sum(masks >> i & 1 for i in range(n - 1))
+    assert np.array_equal(row.astype(np.int64), (bits == 3).astype(np.int64))
+
+
+def test_descent_count_table_logs_builds_and_hits(monkeypatch, caplog):
+    monkeypatch.setattr(qsym, "_table_memory", {})
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    descent_count_table(6)
+    descent_count_table(6)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert messages[0].startswith("descent table n=6: built, 12 states at the widest level, ")
+    assert messages[0].endswith(" ms")
+    assert messages[1] == "descent table n=6: memory hit"
 
 
 def plant_table_file(path, n, counts):
