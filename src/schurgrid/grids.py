@@ -14,12 +14,12 @@ Enumeration is exact and takes one of two routes:
   ``row * col == entry`` on every nonzero cell.  Every drawing can then be
   normalized so that all points share one integer parameter, and the
   points are added in order of it.  A partial drawing is kept as its
-  pattern plus its points per row and per column, once per distinct
-  state: parameter words that differ only by commuting cells reach the
-  same state and are extended once.  A matrix with no consistent orientation is first refined
-  by splitting every cell into a 2x2 block (each segment cut at its
-  midpoint), which always yields an orientable matrix describing the same
-  picture.
+  pattern plus its points per row and per column, built once from the
+  lexicographically least parameter word of its trace (words equal up to
+  swapping cells that share no row and no column).  A matrix with no
+  consistent orientation is first refined by splitting every cell into a
+  2x2 block (each segment cut at its midpoint), which always yields an
+  orientable matrix describing the same picture.
 
 >>> sorted(enumerate_grid(parse_grid_matrix("+"), 3))
 [(1, 2, 3)]
@@ -413,13 +413,15 @@ def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
         if debug:
             _log.debug("grid %s n=%d: cache hit", format_grid_matrix(m), n)
         return cached
-    work = m
-    oriented = consistent_orientation(m)
-    if oriented is None:
-        work = refine_matrix(m)
-        oriented = consistent_orientation(work)
-        assert oriented is not None, "refined matrix must be orientable"
-    cells = work.cells()
+    work, cells = m, m.cells()
+    one_column = len({j for _, j in cells}) == 1  # always orientable
+    if not one_column:
+        oriented = consistent_orientation(m)
+        if oriented is None:
+            work = refine_matrix(m)
+            oriented = consistent_orientation(work)
+            assert oriented is not None, "refined matrix must be orientable"
+        cells = work.cells()
     if n == 0 or not cells:
         out = PermSet.from_words(np.empty((int(n == 0), n), np.uint8))
     else:
@@ -429,7 +431,7 @@ def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
                 f"enumeration needs {total} words (budget {grid_budget()}); "
                 "raise SCHURGRID_GRID_BUDGET"
             )
-        if len({j for _, j in cells}) == 1:
+        if one_column:
             route = "one-column"
             signs = [work.rows[i][j] for i, j in reversed(cells)]
             words, sizes = _enumerate_one_column(signs, n)
@@ -489,67 +491,87 @@ def _enumerate_oriented(
     n: int,
 ) -> tuple[np.ndarray, list[int]]:
     """Patterns of an oriented matrix with at least one cell, as the rows
-    of a word matrix in lexicographic order, and the number of distinct
-    states per level.
+    of a word matrix in lexicographic order, and the number of states per
+    level.
 
-    Points are added in order of their parameter.  A state is a row
-    holding the pattern so far, the points per column and the points per
-    row.  The newest point has the largest parameter, so it lands at one
-    end of its column band and of its row band, as the column and row
-    signs say; two parameter words that differ by commuting cells (no
-    shared row or column) reach the same state, which is kept once.  The
-    last level keeps the patterns only.
+    Points are added in order of their parameter, so a drawing is a word
+    over the cells, ordered as ``m.cells()`` lists them.  Two cells commute
+    when they share no row and no column; words equal up to swapping
+    adjacent commuting cells (one trace) reach the same gridded pattern,
+    and distinct traces distinct ones.  Only the lexicographically least
+    word of each trace is built (Anisimov and Knuth): bit c of a state is
+    set when the longest suffix of commuting-with-c cells holds a cell
+    later than c, and c is appended only where it is clear.  Appending c
+    keeps the bits of the cells that commute with c, sets those of them
+    earlier than c and clears the rest.  Every state is built once, so no
+    level below the last is deduplicated.
+
+    A state is a row holding the pattern, the points left of each of the
+    ``nc + 1`` column lines (prefix sums), the points below each of the
+    ``n_rows + 1`` row lines (suffix sums) and the bits, packed into
+    bytes.  Each level is sized from its count of states per appendable
+    cell and filled chunk by chunk, at most ``_CHUNK`` children a chunk,
+    into one preallocated array.  The last level holds bare patterns,
+    which several griddings can share, and is deduplicated once.
     """
     row_sign, col_sign = oriented
     cells = m.cells()
     nc = m.n_cols
+    at_row, at_col = np.array(cells).T
+    commute = (at_row[:, None] != at_row) & (at_col[:, None] != at_col)
+    keep = np.packbits(commute, axis=1, bitorder="little")
+    mark = np.packbits(np.tril(commute, -1), axis=1, bitorder="little")
     dtype = np.min_scalar_type(n)
-    states = np.zeros((1, nc + m.n_rows), dtype)
+    states = np.zeros((1, nc + m.n_rows + 2 + keep.shape[1]), dtype)
     sizes = [1]
     step = max(1, _CHUNK // len(cells))
     for level in range(n):
-        width = level + 1 if level == n - 1 else states.shape[1] + 1
-        folded = np.empty((0, width), dtype)
+        bits = states.shape[1] - keep.shape[1]
+        blocked = [(bits + c // 8, 1 << (c % 8)) for c in range(len(cells))]
+        free = sum(len(states) - np.count_nonzero(states[:, b] & bit) for b, bit in blocked)
+        out = np.empty((free, level + 1 if level == n - 1 else states.shape[1] + 1), dtype)
+        filled = 0
         for start in range(0, len(states), step):
             block = states[start : start + step]
-            kids = np.concatenate(
-                [
-                    _place(block, level, nc, i, j, row_sign[i], col_sign[j])
-                    for i, j in cells
-                ]
-            )
-            folded, _ = distinct_words(
-                np.concatenate([folded, kids[:, :width]])
-            )
-        states = folded
+            for c, (i, j) in enumerate(cells):
+                b, bit = blocked[c]
+                kids = block[block[:, b] & bit == 0]
+                _place(kids, out[filled : filled + len(kids)], level, nc, i, j,
+                       row_sign[i], col_sign[j], keep[c], mark[c])
+                filled += len(kids)
+        states = out
         sizes.append(len(states))
-    return states, sizes
+    del block  # the view would keep level n - 1 alive through the dedup
+    words, _ = distinct_words(states)
+    sizes[-1] = len(words)
+    return words, sizes
 
 
 def _place(
-    block: np.ndarray, level: int, nc: int, i: int, j: int, rs: int, cs: int
-) -> np.ndarray:
-    """Children of the states in ``block`` (patterns of length ``level``)
-    whose newest point lies in cell (i, j) with row and column signs
-    ``rs`` and ``cs``."""
-    old = block[:, :level]
-    cols = block[:, level : level + nc]
-    rows = block[:, level + nc :]
-    pos = cols[:, :j].sum(axis=1, dtype=block.dtype)
-    if cs > 0:
-        pos += cols[:, j]
-    val = rows[:, i + 1 :].sum(axis=1, dtype=block.dtype) + 1
-    if rs > 0:
-        val += rows[:, i]
-    bumped = old + (old >= val[:, None])
-    word = np.empty((len(block), level + 1), block.dtype)
+    kids: np.ndarray, out: np.ndarray, level: int, nc: int, i: int, j: int,
+    rs: int, cs: int, keep: np.ndarray, mark: np.ndarray,
+) -> None:
+    """Write to ``out`` the children of the states ``kids`` (patterns of
+    length ``level``) whose newest point lies in cell (i, j), with row and
+    column signs ``rs`` and ``cs`` and normal-form masks ``keep`` and
+    ``mark``.  The point's position is the prefix sum at its column's left
+    or right line, its value one more than the suffix sum at its row's
+    lower or upper line.  An ``out`` of width ``level + 1`` takes the
+    pattern only."""
+    old = kids[:, :level]
+    pos = kids[:, level + j + (cs > 0)]
+    val = kids[:, level + nc + 1 + i + (rs < 0)] + 1
+    word = out[:, : level + 1]
     new = np.arange(level + 1) == pos[:, None]
     word[new] = val
-    word[~new] = bumped.ravel()
-    out = np.concatenate([word, block[:, level:]], axis=1)
-    out[:, level + 1 + j] += 1
-    out[:, level + 1 + nc + i] += 1
-    return out
+    word[~new] = (old + (old >= val[:, None])).ravel()
+    if out.shape[1] > level + 1:
+        tail = out[:, level + 1 :]
+        tail[:] = kids[:, level:]
+        tail[:, j + 1 : nc + 1] += 1
+        tail[:, nc + 1 : nc + i + 2] += 1
+        tail[:, -len(keep) :] &= keep
+        tail[:, -len(keep) :] |= mark
 
 
 # ---------------------------------------------------------------------------

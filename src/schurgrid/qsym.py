@@ -583,15 +583,17 @@ class DescentCountTable:
 
     @cached_property
     def kostka_inverse(self) -> np.ndarray:
-        """The inverse of the unitriangular Kostka matrix, by back-substitution
-        in Python ints: row ``i`` is the ``i``-th unit row minus the later
-        rows weighted by row ``i`` of K."""
-        kostka = self.kostka.astype(object)
-        size = len(kostka)
-        inverse = np.identity(size, object)
-        for i in reversed(range(size)):
-            inverse[i] -= kostka[i, i + 1 :] @ inverse[i + 1 :]
-        return _int_array(inverse.tolist())
+        """The inverse of the unitriangular Kostka matrix, by back-substitution:
+        row ``i`` is the ``i``-th unit row minus the later rows weighted by
+        row ``i`` of K, each product in ``int64`` while its bound allows and
+        in Python ints from the first one that does not."""
+        kostka = self.kostka
+        inverse = np.identity(len(kostka), np.int64)
+        for i in reversed(range(len(kostka))):
+            later = _exact_matmul(kostka[i, i + 1 :], inverse[i + 1 :])
+            inverse = inverse.astype(later.dtype, copy=False)
+            inverse[i] -= later
+        return inverse
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,10 @@ budgeting."""
 from __future__ import annotations
 
 import itertools
+import json
 import logging
+import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +253,53 @@ def test_enumeration_logs_route_and_states(monkeypatch, caplog):
         "states per level [1, 1], 1 permutations",
         "grid +/- n=3: cache hit",
     ]
+
+
+def test_one_column_matrices_skip_orientation(monkeypatch):
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    monkeypatch.setattr(grids, "consistent_orientation", None)
+    assert enumerate_grid(parse_grid_matrix("0+/0-/0+"), 4) == picture_patterns(
+        parse_grid_matrix("0+/0-/0+"), 4
+    )
+
+
+def _states_per_level(caplog, m, n):
+    caplog.clear()
+    enumerate_grid(m, n)
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert "gridded-state route" in message, message
+    return json.loads(re.search(r"states per level (\[.*?\])", message)[1])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_states_per_level_count_traces(monkeypatch, caplog, k):
+    """One state per trace (word over the cells up to swapping cells that
+    share no row and no column) at every level below the last: zigzag(k)
+    is two columns of k cells, identity(k) k mutually commuting cells."""
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    for n in range(1, 8):
+        zigzag = _states_per_level(caplog, zigzag_matrix(k), n)
+        identity = _states_per_level(caplog, identity_matrix(k), n)
+        assert zigzag[:-1] == [(level + 1) * k**level for level in range(n)]
+        assert identity[:-1] == [math.comb(level + k - 1, k - 1) for level in range(n)]
+
+
+def test_chunked_fill_and_wide_matrices(monkeypatch):
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    wide = GridMatrix(((1,) * 9,) * 9)  # 81 cells: 11 bytes of normal-form bits
+    for n in range(0, 4):
+        assert enumerate_grid(wide, n) == picture_patterns(wide, n), n
+    for m in (fig_matrix(), zigzag_matrix(2), k_matrix(), parse_grid_matrix("++/+-")):
+        work = m if consistent_orientation(m) else refine_matrix(m)
+        monkeypatch.setattr(grids, "_CHUNK", 3 * len(work.cells()))  # 3 states a chunk
+        _, sizes = grids._enumerate_oriented(work, consistent_orientation(work), 6)
+        assert any(size > 3 and size % 3 for size in sizes[:-1])
+        for n in range(0, 7):
+            monkeypatch.setattr(grids, "_grid_cache", {})
+            assert enumerate_grid(m, n) == picture_patterns(m, n), (
+                format_grid_matrix(m), n,
+            )
 
 
 # ---------------------------------------------------------------------------

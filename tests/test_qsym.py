@@ -442,6 +442,20 @@ def test_kostka_matrix_counts_semistandard_tableaux():
         assert kostka.tolist() == [[ssyt_count(mu, lam) for lam in parts] for mu in parts]
 
 
+def test_kostka_inverse_is_the_inverse(monkeypatch):
+    for n in range(13):
+        table = descent_count_table(n)
+        inverse = table.kostka_inverse
+        assert inverse.dtype == np.int64
+        assert (table.kostka @ inverse == np.identity(len(inverse), np.int64)).all(), n
+    # Python ints from the first product whose bound reaches 50 on.
+    monkeypatch.setattr(qsym, "_mult_dtype", lambda total: np.int64 if total < 50 else object)
+    table = descent_count_table(9)
+    promoted = qsym.DescentCountTable(9, table.matrix).kostka_inverse
+    assert promoted.dtype == object
+    assert promoted.tolist() == table.kostka_inverse.tolist()
+
+
 def test_descent_count_table_matches_tableau_enumeration():
     for n in range(0, 9):
         matrix = descent_count_table(n).matrix
