@@ -52,6 +52,7 @@ from .grids import (
 from .permutations import (
     DescSet,
     _descent_masks,
+    _row_keys,
     format_perm,
     format_words,
     longest_element,
@@ -82,8 +83,10 @@ from .qsym import (
     NotSymmetric,
     QSym,
     SchurExpansion,
+    _exact_matmul,
     _subset_sums,
     cache_dir,
+    descent_count_table,
     is_schur_positive,
     qsym_of,
     pieri_down,
@@ -99,7 +102,6 @@ from .tableaux import (
     is_partition,
     knuth_classes,
     partitions,
-    ribbon_shape,
     strip_chain_shape,
     syt_row_words,
 )
@@ -291,16 +293,16 @@ def _sign_vectors(max_len: int, min_len: int = 1) -> list[tuple[int, ...]]:
     return out
 
 
-@functools.cache
-def _ribbon_f(n: int, d: DescSet) -> QSym:
-    return skew_schur_f_vector(ribbon_shape(n, d))
-
-
-@functools.cache
 def _ribbon_schur(n: int, d: DescSet) -> SchurExpansion:
-    e = schur_expand(_ribbon_f(n, d))
-    assert isinstance(e, SchurExpansion)
-    return e
+    """The ribbon with descent set ``d`` in the Schur basis: by Gessel, column
+    ``d.mask`` of the descent-count table (each shape's SYT with descents d)."""
+    return SchurExpansion.from_row(n, descent_count_table(n).matrix[:, d.mask])
+
+
+def _ribbon_f_rows(n: int, masks: Sequence[int]) -> np.ndarray:
+    """The fundamental vectors of the ribbons with descent masks ``masks``,
+    one a row: their :func:`_ribbon_schur` columns times the table."""
+    return schur_f_rows(n, descent_count_table(n).matrix[:, masks].T)
 
 
 def _qsyms(n: int, cells: np.ndarray) -> list[QSym]:
@@ -628,16 +630,16 @@ def _rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | No
     ``shape``, or the tableaux it misses, or None.
 
     Each condition is one array over the rows, listed in order of blame;
-    images and tableaux are row words on the strip chain of ``j``, keyed
-    by their bytes, which sort as the rows do.  A row word's descents are
-    the rises of its rows; row 1 is the top corner alone."""
+    images and tableaux are row words on the strip chain of ``j``, keyed by
+    ``_row_keys``, which sort as the rows do.  A row word's descents are the
+    rises of its rows; row 1 is the top corner alone."""
     m, n = words.shape
     chain = strip_chain_shape(n, j)
     decomposes, images = _rotation_images(words, j, chain)
-    known = syt_row_words(chain).view(f"S{n}")[:, 0]  # emitted in sorted order
-    keys = np.ascontiguousarray(images).view(f"S{n}")[:, 0]
+    known = _row_keys(syt_row_words(chain), n.bit_length())  # emitted in sorted order
+    keys = _row_keys(images, n.bit_length())  # letters are rows, at most n
     found = known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
-    order = np.lexsort(images.T[::-1])  # stable: a repeat sorts after its first row
+    order = np.argsort(keys, kind="stable")  # a repeat sorts after its first row
     repeated = np.zeros(m, bool)
     repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     faults = [
@@ -953,15 +955,12 @@ def _run_colayer_hooks(led: _CaseLedger, n: int) -> None:
 )
 def _run_onecol_zigzags(led: _CaseLedger, n: int) -> None:
     universe = _sign_vectors(n - 1, min_len=n - 1)
-    ribbons = {
-        u: _ribbon_f(n, DescSet.of(n, [i + 1 for i, s in enumerate(u) if s > 0]))
-        for u in universe
-    }
-    for v in _sign_vectors(n - 1):
-        rhs = QSym.zero(n)
-        for u in universe:
-            if not _subseq(v, u):
-                rhs = rhs + ribbons[u]
+    masks = [sum(1 << i for i, s in enumerate(u) if s > 0) for u in universe]
+    vectors = _sign_vectors(n - 1)
+    # Row v sums the ribbons of the sign words u that avoid v.
+    avoids = np.array([[not _subseq(v, u) for u in universe] for v in vectors], np.int64)
+    rhss = _qsyms(n, _exact_matmul(avoids, _ribbon_f_rows(n, masks)))
+    for v, rhs in zip(vectors, rhss):
         led.add(
             f"v={format_sign_vector(v)}",
             qsym_of(one_column_class(v, n), n).serialize(),

@@ -37,6 +37,7 @@ import numpy as np
 from .permutations import (
     Perm,
     PermSet,
+    _DistinctRows,
     cdes_count,
     des_set,
     distinct_words,
@@ -453,8 +454,8 @@ def _enumerate_one_column(
     signs: Sequence[int], n: int
 ) -> tuple[np.ndarray, list[int]]:
     """Members of the one-column class with bottom-to-top cell signs
-    ``signs``, as the rows of a word matrix in lexicographic order, and
-    the row count per level.
+    ``signs``, as the rows of a word matrix sorted by :func:`distinct_words`
+    (on packed row keys), and the row count per level.
 
     A member's inverse splits into monotone runs, one per cell from the
     bottom.  The values 1..n are inserted in turn, each row keeping its
@@ -482,7 +483,7 @@ def _enumerate_one_column(
         words[new] = j + 1
         words[~new] = old.ravel()
         sizes.append(len(words))
-    return words[np.lexsort(words.T[::-1])], sizes
+    return distinct_words(words)[0], sizes
 
 
 def _enumerate_oriented(
@@ -509,10 +510,10 @@ def _enumerate_oriented(
     A state is a row holding the pattern, the points left of each of the
     ``nc + 1`` column lines (prefix sums), the points below each of the
     ``n_rows + 1`` row lines (suffix sums) and the bits, packed into
-    bytes.  Each level is sized from its count of states per appendable
-    cell and filled chunk by chunk, at most ``_CHUNK`` children a chunk,
-    into one preallocated array.  The last level holds bare patterns,
-    which several griddings can share, and is deduplicated once.
+    bytes.  Each level is counted per appendable cell and filled chunk by
+    chunk, at most ``_CHUNK`` children a chunk, into one array.  The last
+    level's bare patterns, which several griddings can share, are merged
+    into the running distinct rows a chunk at a time, never all held.
     """
     row_sign, col_sign = oriented
     cells = m.cells()
@@ -525,11 +526,14 @@ def _enumerate_oriented(
     states = np.zeros((1, nc + m.n_rows + 2 + keep.shape[1]), dtype)
     sizes = [1]
     step = max(1, _CHUNK // len(cells))
+    patterns = _DistinctRows(n)
     for level in range(n):
+        last = level == n - 1
         bits = states.shape[1] - keep.shape[1]
         blocked = [(bits + c // 8, 1 << (c % 8)) for c in range(len(cells))]
         free = sum(len(states) - np.count_nonzero(states[:, b] & bit) for b, bit in blocked)
-        out = np.empty((free, level + 1 if level == n - 1 else states.shape[1] + 1), dtype)
+        width = level + 1 if last else states.shape[1] + 1
+        out = np.empty((min(free, step * len(cells)) if last else free, width), dtype)
         filled = 0
         for start in range(0, len(states), step):
             block = states[start : start + step]
@@ -539,12 +543,12 @@ def _enumerate_oriented(
                 _place(kids, out[filled : filled + len(kids)], level, nc, i, j,
                        row_sign[i], col_sign[j], keep[c], mark[c])
                 filled += len(kids)
+            if last:
+                patterns.add(out[:filled])
+                filled = 0
         states = out
-        sizes.append(len(states))
-    del block  # the view would keep level n - 1 alive through the dedup
-    words, _ = distinct_words(states)
-    sizes[-1] = len(words)
-    return words, sizes
+        sizes.append(len(patterns.keys) if last else len(out))
+    return patterns.words(), sizes
 
 
 def _place(

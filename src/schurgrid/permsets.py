@@ -35,6 +35,7 @@ from .permutations import (
     Perm,
     PermMultiset,
     PermSet,
+    _DistinctRows,
     _descent_masks,
     _mult_dtype,
     _word_dtype,
@@ -135,13 +136,10 @@ def _compositions(
 def multiset_product(a: CollectionLike, b: CollectionLike) -> PermMultiset:
     """Multiset of all compositions ``x after y`` with multiplicity."""
     am, bm = as_multiset(a), as_multiset(b)
-    words, weights = am.words[:0], np.empty(0, np.int64)
+    rows = _DistinctRows(am.n, weighted=True)
     for block, block_weights in _compositions(am, bm):
-        words, weights = distinct_words(
-            np.concatenate([words, block]),
-            np.concatenate([weights, block_weights]),
-        )
-    return PermMultiset._of(am.n, words, weights)
+        rows.add(block, block_weights)
+    return PermMultiset._of(am.n, rows.words(), rows.sums)
 
 
 def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
@@ -149,10 +147,10 @@ def set_product(a: CollectionLike, b: CollectionLike) -> PermSet:
     distinct rows of the composed blocks, deduplicated block by block; no
     element is turned into a tuple."""
     am, bm = as_multiset(a), as_multiset(b)
-    words = am.words[:0]
+    rows = _DistinctRows(am.n)
     for block, _ in _compositions(am, bm):
-        words, _ = distinct_words(np.concatenate([words, block]))
-    return PermSet._of_rows(am.n, words)
+        rows.add(block)
+    return PermSet._of_rows(am.n, rows.words())
 
 
 def _stack(xs: list[PermMultiset], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,20 +169,21 @@ def product_qsym_grid(
     """Descent generating functions of every product ``lefts[i] * rights[j]``.
 
     Entry ``[i, j]`` of the ``(len(lefts), len(rights), 2**(n-1))`` result
-    holds the coefficients of ``product_qsym(lefts[i], rights[j])``; its
-    dtype is ``int64``, or ``object`` once ``sum(total(lefts)) *
-    sum(total(rights))`` reaches 2**63.  Each side is stacked into one word
-    matrix, the left one transposed so that row ``c`` holds letter ``c`` of
-    every left word.  Pairs are composed letter-major in blocks of ``_BLOCK
-    // 32`` compositions: letter ``c`` of every left word of a block after
-    right word ``s`` is row ``s[c]`` of the transposed block, one gather of
-    whole contiguous rows indexed by one letter column of the block's right
-    words (only that column is cast to ``intp``).  A composition holds about
-    24 bytes of its block (an ``int64`` key and weight, a descent mask, the
-    letters in hand), so a block stays under ``_BLOCK`` bytes.  Each is
-    folded at key ``(i * len(rights) + j) * 2**(n-1) + descent mask`` by one
-    ``np.add.at`` per block, so no product is materialized.  With no members
-    the degree is unknown and the last axis has length 1.
+    holds the coefficients of ``product_qsym(lefts[i], rights[j])``.  All
+    entries sum to ``total = sum(total(lefts)) * sum(total(rights))``, so the
+    dtype is ``int32`` below 2**31, ``int64`` below 2**63 and ``object`` beyond.
+    Each side is stacked into one word matrix, the left one transposed so
+    that row ``c`` holds letter ``c`` of every left word.  Pairs are composed
+    letter-major in blocks of ``_BLOCK // 32`` compositions: letter ``c`` of
+    every left word of a block after right word ``s`` is row ``s[c]`` of the
+    transposed block, one gather of whole contiguous rows indexed by one
+    letter column of the block's right words (only that column is cast to
+    ``intp``).  A composition holds about 24 bytes of its block (an ``int64``
+    key, its weight, a descent mask, the letters in hand), so a block stays
+    under ``_BLOCK`` bytes.  Each is folded at key ``(i * len(rights) + j) *
+    2**(n-1) + descent mask`` by one ``np.add.at`` per block, so no product
+    is materialized.  With no members the degree is unknown and the last
+    axis has length 1.
     """
     ls, rs = [as_multiset(a) for a in lefts], [as_multiset(b) for b in rights]
     n = next((m.n for m in ls + rs), 0)
@@ -192,7 +191,7 @@ def product_qsym_grid(
     y, my, rid = _stack(rs, n)
     width = 1 << max(n - 1, 0)
     total = sum(a.total_size() for a in ls) * sum(b.total_size() for b in rs)
-    dtype = _mult_dtype(total)
+    dtype = np.int32 if total < 2**31 else _mult_dtype(total)
     acc = np.zeros(len(ls) * len(rs) * width, dtype)
     lbase, rbase, xt, y = lid * (len(rs) * width), rid * width, x.T.copy(), y - 1
     blocks = 0

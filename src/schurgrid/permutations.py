@@ -39,7 +39,6 @@ __all__ = [
     "compose",
     "composition_boundary_mask",
     "composition_of_descents",
-    "sorted_composition_key",
     "is_mu_modal_mask",
     "distinct_words",
     "format_words",
@@ -267,12 +266,6 @@ def composition_of_descents(d: DescSet) -> Composition:
     return tuple(parts)
 
 
-def sorted_composition_key(d: DescSet) -> Composition:
-    """Multiset of block lengths of ``d`` (sorted descending): two subsets are
-    rearrangements of each other exactly when these keys agree."""
-    return tuple(sorted(composition_of_descents(d), reverse=True))
-
-
 def is_mu_modal_mask(mask: int, n: int, mu: Composition) -> bool:
     """Whether some permutation of degree ``n`` whose every ``mu``-block is
     co-unimodal (strictly decreasing then strictly increasing) has the
@@ -303,16 +296,48 @@ def is_mu_modal_mask(mask: int, n: int, mu: Composition) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _row_keys(words: np.ndarray, bits: int) -> np.ndarray:
+    """One key per row of an unsigned word matrix, letters below ``2**bits``,
+    that sorts as the row does: ``bits >= 1`` bits a letter, first highest, in
+    ``uint64`` up to 64 bits, else Python ints (``einsum`` casts in buffers)."""
+    n = words.shape[1]
+    shifts = np.arange((n - 1) * bits, -1, -bits, dtype=np.uint64 if n * bits <= 64 else object)
+    return np.einsum(words, [0, 1], 1 << shifts, [1])
+
+
+def _key_rows(keys: np.ndarray, n: int, bits: int, dtype: np.dtype) -> np.ndarray:
+    """The word matrix of ``dtype`` that :func:`_row_keys` packed: ``uint64``
+    keys are shifted straight into it, Python ints through ``object``."""
+    letters = np.empty((len(keys), n), object if keys.dtype == object else dtype)
+    shifts = np.arange((n - 1) * bits, -1, -bits, dtype=keys.dtype)
+    np.right_shift(keys[:, None], shifts, out=letters, casting="unsafe")
+    letters &= (1 << bits) - 1
+    return letters.astype(dtype, copy=False)
+
+
+def _dedupe(keys: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct keys in increasing order, with the weights of equal keys
+    summed in their own dtype; without weights ``keys`` is sorted in place."""
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    first = np.empty(len(keys), bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if weights is not None:
+        weights = np.add.reduceat(weights, np.flatnonzero(first))
+    return keys[first], weights
+
+
 def distinct_words(
     words: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Distinct rows of a (k, n) matrix of unsigned words, in byte order,
-    with the weights of equal rows summed when weights are given.
-
-    Each row is keyed by its raw bytes as one ``S`` item: ``np.unique`` is
-    several times faster on those than on rows (``axis=0``), and they need
-    no bound on ``n``.  They are decoded with ``np.frombuffer``, as ``S``
-    items drop trailing NUL bytes when read back as Python objects.
+    """Distinct rows of a (k, n) matrix of unsigned words, in lexicographic
+    order and of its dtype, with the weights of equal rows summed when
+    weights are given: the rows' :func:`_row_keys` (as many bits a letter as
+    the largest needs) are sorted, argsorted with weights, and unpacked.
 
     >>> words = np.array([[2, 1], [1, 2], [2, 1]], np.uint8)
     >>> distinct_words(words)[0].tolist()
@@ -320,18 +345,26 @@ def distinct_words(
     >>> distinct_words(words, np.array([1, 5, 1]))[1].tolist()
     [5, 2]
     """
-    n = words.shape[1]
-    if n == 0:  # degree 0: every row is the empty word
-        k = min(len(words), 1)
-        return words[:k], None if weights is None else weights.sum(keepdims=True)[:k]
-    keys = np.ascontiguousarray(words).view(f"S{n * words.itemsize}")[:, 0]
-    if weights is None:
-        unique, sums = np.unique(keys), None
-    else:
-        unique, where = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(unique), weights.dtype)
-        np.add.at(sums, where, weights)
-    return np.frombuffer(unique, words.dtype).reshape(len(unique), n), sums
+    bits = int(words.max(initial=1)).bit_length()
+    keys, sums = _dedupe(_row_keys(words, bits), weights)
+    return _key_rows(keys, words.shape[1], bits, words.dtype), sums
+
+
+class _DistinctRows:
+    """The distinct rows, as sorted keys with summed weights (when weighted),
+    of blocks of degree-``n`` permutation words added one at a time."""
+
+    def __init__(self, n: int, weighted: bool = False) -> None:
+        self.n, self.bits, self.keys = n, max(n, 1).bit_length(), np.empty(0, np.uint64)
+        self.sums = np.empty(0, np.int64) if weighted else None
+
+    def add(self, words: np.ndarray, weights: np.ndarray | None = None) -> None:
+        keys = np.concatenate([self.keys, _row_keys(words, self.bits)])
+        sums = None if weights is None else np.concatenate([self.sums, weights])
+        self.keys, self.sums = _dedupe(keys, sums)
+
+    def words(self) -> np.ndarray:
+        return _key_rows(self.keys, self.n, self.bits, _word_dtype(self.n))
 
 
 def format_words(words: np.ndarray) -> str:
@@ -353,7 +386,7 @@ def format_words(words: np.ndarray) -> str:
 
 
 def _word_dtype(n: int) -> np.dtype:
-    """Letters of degree ``n``, big-endian: a row's bytes sort as its word."""
+    """Letters of degree ``n``: the smallest unsigned dtype, big-endian."""
     return np.dtype(np.min_scalar_type(n)).newbyteorder(">")
 
 

@@ -47,9 +47,9 @@ from .permutations import (
     DescSet,
     _descent_masks,
     _mult_dtype,
+    _row_keys,
     as_multiset,
     composition_boundary_mask,
-    sorted_composition_key,
 )
 from .tableaux import Partition, SkewShape, partitions
 
@@ -368,10 +368,14 @@ def monomial_coefficients(q: QSym) -> list[int]:
 @lru_cache(maxsize=None)
 def _class_reps(n: int) -> np.ndarray:
     """For each mask of degree ``n``, the least mask whose blocks are a
-    rearrangement of its blocks (the same ``sorted_composition_key``): the
-    id of its rearrangement class."""
-    least: dict[tuple[int, ...], int] = {}
-    keys = (sorted_composition_key(DescSet(n, mask)) for mask in range(_width(n)))
+    rearrangement of its blocks (the same sorted block lengths): the id of
+    its rearrangement class.  Block lengths are the steps of the last block
+    end (bit ``i - 1``, or ``i = n``) at or before each position ``i``."""
+    ends = (np.arange(_width(n)) | 1 << n >> 1)[:, None] >> np.arange(n) & 1
+    last = np.maximum.accumulate(ends * np.arange(1, n + 1), axis=1)
+    lengths = np.sort(np.diff(last, axis=1, prepend=0), axis=1).astype(np.min_scalar_type(n))
+    keys = _row_keys(lengths, max(n, 1).bit_length()).tolist()
+    least: dict[int, int] = {}
     return np.array([least.setdefault(key, mask) for mask, key in enumerate(keys)])
 
 

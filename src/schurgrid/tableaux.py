@@ -35,6 +35,7 @@ from .permutations import (
     DescSet,
     Perm,
     PermSet,
+    _row_keys,
     compose,
     cycle_perm,
     des_mask,
@@ -511,7 +512,7 @@ def _inverse_rsk_classes(
             row[states, at] = np.where(below, v, bumped)
             v = np.where(below, bumped, v)
         words[:, k] = v
-    words = words[np.lexsort((*words.T[::-1], states // size))]
+    words = words[np.lexsort((_row_keys(words, max(n, 1).bit_length()), states // size))]
     return [PermSet._of_rows(n, words[i : i + size]) for i in range(0, m, size)]
 
 

@@ -38,8 +38,8 @@ from schurgrid.permsets import (
     product_qsym_grid,
 )
 from schurgrid.permutations import DescSet, format_words
-from schurgrid.qsym import SchurExpansion
-from schurgrid.tableaux import rotation_bijection, strip_chain_shape
+from schurgrid.qsym import SchurExpansion, schur_expand, skew_schur_f_vector
+from schurgrid.tableaux import ribbon_shape, rotation_bijection, strip_chain_shape
 
 SMOKE_N = 3
 KNUTH_WITNESS = (
@@ -308,6 +308,17 @@ def test_batched_conj_10_3_reports_the_first_pairwise_refutation(monkeypatch):
         assert runner(n) == expected
     record = scan_conjecture("conj-10-3", 4).records[-1]
     assert (record.verdict, record.cases, record.witness) == _first_noncommuting_pair(3)
+
+
+def test_ribbons_are_columns_of_the_descent_count_table():
+    # Gessel's ribbon expansion against the skew placement walk of the ribbon.
+    for n in range(1, 9):
+        dessets = [DescSet(n, mask) for mask in range(1 << (n - 1))]
+        rows = checks._ribbon_f_rows(n, [d.mask for d in dessets])
+        for d, row in zip(dessets, rows.tolist()):
+            f = skew_schur_f_vector(ribbon_shape(n, d))
+            assert checks._ribbon_schur(n, d) == schur_expand(f)
+            assert tuple(row) == f.coeffs
 
 
 def test_planted_ribbon_fault_is_reported_at_the_same_case(monkeypatch):

@@ -256,6 +256,29 @@ def test_console_script_is_wired(tmp_path):
     assert proc.stdout == "s[4] + s[3,1]\n"
 
 
+def test_check_and_scan_leave_numpy_ma_unimported(tmp_path):
+    # Row dedupe runs on integer sorts, never np.unique, whose first call
+    # imports numpy.ma.
+    script = (
+        "import sys; from schurgrid.cli import main\n"
+        "assert main(['scan', 'restriction', '--max-n', '5']) == 0\n"
+        "assert main(['check', 'thm-main-1', '--n', '4']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    package_parent = Path(schurgrid.__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(package_parent),
+        SCHURGRID_CACHE_DIR=str(tmp_path / "cache"),
+        SCHURGRID_RESULTS_DIR=str(tmp_path / "results"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.skipif(
     shutil.which("schurgrid") is None, reason="no schurgrid executable on PATH"
 )

@@ -302,6 +302,37 @@ def test_chunked_fill_and_wide_matrices(monkeypatch):
             )
 
 
+def test_last_level_is_deduplicated_chunk_by_chunk(monkeypatch):
+    """With ``_CHUNK`` small the last level's patterns are merged into the
+    running distinct rows a few at a time, and patterns repeat across
+    chunks; the words and per-level sizes still equal those of one chunk,
+    and the words are the picture definition's, sorted."""
+    chunks = []
+
+    class Recording(grids._DistinctRows):
+        def add(self, words, weights=None):
+            chunks.append({tuple(w) for w in words.tolist()})
+            super().add(words, weights)
+
+    monkeypatch.setattr(grids, "_DistinctRows", Recording)
+    repeated = False
+    for m in (fig_matrix(), zigzag_matrix(2), k_matrix(), parse_grid_matrix("++/+-")):
+        work = m if consistent_orientation(m) else refine_matrix(m)
+        for n in range(1, 7):
+            monkeypatch.setattr(grids, "_CHUNK", 1 << 18)
+            words, sizes = grids._enumerate_oriented(work, consistent_orientation(work), n)
+            monkeypatch.setattr(grids, "_CHUNK", 2 * len(work.cells()))  # 2 states a chunk
+            chunks.clear()
+            chunked, chunked_sizes = grids._enumerate_oriented(
+                work, consistent_orientation(work), n
+            )
+            assert chunked.tolist() == words.tolist() and chunked_sizes == sizes
+            assert list(map(tuple, words.tolist())) == sorted(picture_patterns(m, n))
+            assert sizes[-1] == len(words)
+            repeated |= any(a & b for a, b in itertools.combinations(chunks, 2))
+    assert repeated
+
+
 # ---------------------------------------------------------------------------
 # Enumeration versus membership predicates
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from schurgrid.permutations import (
     PermMultiset,
     PermSet,
     cdes_count,
+    distinct_words,
     format_perm,
     format_words,
     inverse,
@@ -137,3 +138,55 @@ def test_array_families_match_their_predicates():
             assert conjugacy_class(n, rho) == {w for w in words if cycle_type(w) == rho}
     with pytest.raises(ValueError):
         zigzag_class(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# Row dedupe on packed keys
+# ---------------------------------------------------------------------------
+
+
+def s_key_unique(words, weights=None):
+    """Reference dedupe: each row keyed by its bytes as one ``S`` item
+    through ``np.unique``; those sort as the rows do for one-byte and
+    big-endian letters."""
+    n = words.shape[1]
+    if n == 0:
+        k = min(len(words), 1)
+        return words[:k], None if weights is None else weights.sum(keepdims=True)[:k]
+    keys = np.ascontiguousarray(words).view(f"S{n * words.itemsize}")[:, 0]
+    unique, where = np.unique(keys, return_inverse=True)
+    sums = None
+    if weights is not None:
+        sums = np.zeros(len(unique), weights.dtype)
+        np.add.at(sums, where, weights)
+    return np.frombuffer(unique, words.dtype).reshape(len(unique), n), sums
+
+
+def _dedupe_cases():
+    rng = np.random.default_rng(7)
+    for n in range(18):  # n >= 16 takes keys past 64 bits
+        perms = np.array([rng.permutation(n) + 1 for _ in range(40)], np.uint8).reshape(40, n)
+        yield perms  # already distinct (for n >= 5)
+        yield perms[rng.integers(0, 40, 300)]  # repeats, unsorted
+        yield np.repeat(perms[:1], 5, axis=0)  # all equal
+        yield perms[:0]  # empty
+    yield rng.integers(0, 300, (200, 3)).astype(">u2")  # nine-bit letters
+    yield rng.integers(0, 2, (200, 40)).astype(">u2")[:, ::2]  # strided
+    yield np.array([[2**64 - 1, 1], [0, 2], [2**64 - 1, 1]], ">u8")  # 64-bit letters
+
+
+@pytest.mark.parametrize("words", list(_dedupe_cases()), ids=lambda w: f"{w.dtype}{w.shape}")
+def test_distinct_words_matches_the_s_key_oracle(words):
+    rng = np.random.default_rng(len(words))
+    expected, _ = s_key_unique(words)
+    got, none = distinct_words(words)
+    assert none is None and got.dtype == words.dtype
+    assert got.tolist() == expected.tolist()
+    for weights in (
+        rng.integers(-5, 10**6, len(words)),
+        np.array([int(v) * 2**70 + 1 for v in rng.integers(1, 9, len(words))], object),
+    ):
+        got, sums = distinct_words(words, weights)
+        expected, expected_sums = s_key_unique(words, weights)
+        assert got.tolist() == expected.tolist()
+        assert sums.dtype == weights.dtype and sums.tolist() == expected_sums.tolist()

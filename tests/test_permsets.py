@@ -26,6 +26,7 @@ from schurgrid.grids import GridResourceError
 from schurgrid.permutations import (
     DescSet,
     cdes_count,
+    des_mask,
     des_set,
     inverse,
     parse_perm,
@@ -369,7 +370,7 @@ def test_product_qsym_grid_matches_reference(case, block):
     n = next((m.n for m in lefts + rights), 0)
     assert grid.shape == (len(lefts), len(rights), 1 << max(n - 1, 0))
     total = sum(a.total_size() for a in lefts) * sum(b.total_size() for b in rights)
-    assert grid.dtype == (np.int64 if total < 2**63 else object)
+    assert grid.dtype == (np.int32 if total < 2**31 else np.int64 if total < 2**63 else object)
     for i, a in enumerate(lefts):
         for j, b in enumerate(rights):
             assert tuple(grid[i, j].tolist()) == reference_product(a, b).qsym().coeffs
@@ -397,6 +398,26 @@ def test_product_qsym_edge_cases():
     assert not any(product_qsym(full, empty).coeffs)
     unit = as_multiset([()], 0)
     assert product_qsym(unit.scale(3), unit.scale(5)).coeffs == (15,)
+
+
+@pytest.mark.parametrize("total, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_product_qsym_grid_accumulates_in_int32_below_2_31(total, dtype):
+    """Multiplicities straddling the boundary: the fold's dtype follows
+    ``total(lefts) * total(rights)`` and every entry equals a fold in Python
+    ints (2**31 - 1 is prime, so the left side has total 1)."""
+    lefts = [as_multiset({(2, 1, 3): 1}, 3), as_multiset([], 3)]
+    big = total - 3
+    rights = [as_multiset({(1, 3, 2): big, (3, 2, 1): 1}, 3), as_multiset({(2, 3, 1): 2}, 3)]
+    grid = product_qsym_grid(lefts, rights)
+    assert grid.dtype == dtype
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            fold = [0] * 4
+            for x, mx in a.elems:
+                for y, my in b.elems:
+                    fold[des_mask(tuple(x[v - 1] for v in y))] += mx * my
+            assert grid[i, j].tolist() == fold
+    assert grid.sum(dtype=object) == total
 
 
 def test_product_with_huge_multiplicities_is_exact():

@@ -23,7 +23,6 @@ from schurgrid.permutations import (
     DescSet,
     composition_boundary_mask,
     composition_of_descents,
-    sorted_composition_key,
 )
 from schurgrid.qsym import (
     NotSymmetric,
@@ -51,6 +50,12 @@ from schurgrid.tableaux import (
     strip_chain_shape,
     syt_des,
 )
+
+
+def sorted_composition_key(d):
+    """Block lengths of ``d``, sorted: two subsets are rearrangements of each
+    other exactly when these agree."""
+    return tuple(sorted(composition_of_descents(d), reverse=True))
 
 
 def all_dessets(n):
@@ -336,8 +341,17 @@ def test_schur_expand_matches_the_loop_route(q):
     assert is_symmetric_by_monomials(q) == (not text.startswith("NotSymmetric"))
 
 
+def test_rearrangement_classes_equal_the_desc_set_route():
+    # The per-mask route the bit-level _class_reps replaced.
+    for n in range(15):
+        least = {}
+        keys = (sorted_composition_key(DescSet(n, m)) for m in range(1 << max(n - 1, 0)))
+        expected = [least.setdefault(key, m) for m, key in enumerate(keys)]
+        assert qsym._class_reps(n).tolist() == expected
+
+
 def test_rearrangement_classes_match_sorted_compositions():
-    # Independent of sorted_composition_key, which _class_reps is built
+    # Independent of sorted_composition_key, which _class_reps was built
     # from: the least mask over every ordering of a mask's block lengths.
     for n in range(9):
         expected = [
