@@ -84,6 +84,7 @@ from .qsym import (
     QSym,
     SchurExpansion,
     _exact_matmul,
+    _serialize_rows,
     _subset_sums,
     cache_dir,
     descent_count_table,
@@ -305,11 +306,6 @@ def _ribbon_f_rows(n: int, masks: Sequence[int]) -> np.ndarray:
     return schur_f_rows(n, descent_count_table(n).matrix[:, masks].T)
 
 
-def _qsyms(n: int, cells: np.ndarray) -> list[QSym]:
-    """The ``QSym`` of each row of ``product_qsym_grid`` coefficients."""
-    return [QSym(n, tuple(row)) for row in cells.tolist()]
-
-
 _Battery = tuple[list[tuple[str, PermSet, SchurExpansion]], np.ndarray]
 
 
@@ -342,17 +338,22 @@ def _kronecker_sides(
 ) -> list[tuple[str, str, str]]:
     """For each battery set (with its Schur row) and its product's row of
     ``cells``: that vector, the fundamental vector of the Kronecker product of
-    its row with ``e``, and ``Schur-positive`` or else that product's expansion."""
+    its row with ``e``, and ``Schur-positive`` or else that product's expansion.
+    The two vectors are compared as integers; a row equal to its fold shares
+    the fold's text, so only a differing row is serialized."""
     products = kronecker_rows(rows, e)
-    fvecs = _qsyms(n, schur_f_rows(n, products))
+    fvecs = schur_f_rows(n, products)
+    same = (cells == fvecs).all(axis=1)
     positive = (products >= 0).all(axis=1)
     return [
         (
-            lhs.serialize(),
-            rhs.serialize(),
+            lhs,
+            lhs if eq else _serialize_rows(n, [fvec.tolist()])[0],
             "Schur-positive" if ok else SchurExpansion.from_row(n, row).serialize(),
         )
-        for lhs, rhs, ok, row in zip(_qsyms(n, cells), fvecs, positive, products)
+        for lhs, eq, fvec, ok, row in zip(
+            _serialize_rows(n, cells.tolist()), same, fvecs, positive, products
+        )
     ]
 
 
@@ -483,19 +484,16 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
     _subset_sums(cells, axis=1)
     weak = zip(_dessets(n, n - 1), inv_weak_descent_classes(n), cells.transpose(1, 0, 2))
     for d, rclass, folded in weak:
+        r_label = f"R{d.braces()}"
         r_expansion = SchurExpansion.zero(n)
         for size in range(len(d.members) + 1):
             for chosen in itertools.combinations(d.members, size):
                 r_expansion = r_expansion + _ribbon_schur(n, DescSet.of(n, chosen))
         direct = schur_expand(rclass.qsym())
-        led.add(
-            f"R{d.braces()} two routes",
-            direct.serialize(),
-            r_expansion.serialize(),
-        )
+        led.add(f"{r_label} two routes", direct.serialize(), r_expansion.serialize())
         sides = _kronecker_sides(n, folded, rows, r_expansion)
         for (name, _, _), (lhs, rhs, positive) in zip(battery, sides):
-            label = f"{name} * R{d.braces()}"
+            label = f"{name} * {r_label}"
             led.add(label, lhs, rhs)
             led.add(f"{label} positive", positive, "Schur-positive")
 
@@ -509,25 +507,32 @@ def _run_thm_main_1(led: _CaseLedger, n: int) -> None:
 )
 def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
     battery, rows = _expanded_battery(n)
+    bsets = [bset for _, bset, _ in battery]
     pairs = [(i, d) for i in range(len(battery)) for d in _dessets(n, n - 1)]
     if n >= 6:
         rng = random.Random(_SAMPLE_SEED)
         pairs = rng.sample(pairs, 60)
         led.note(f"degree {n}: deterministic sample of 60 pairs (seed {_SAMPLE_SEED})")
-    # One fold and one Kronecker product per descent set, of the battery
-    # sets paired with it.
+    # One Kronecker product per descent set, of the battery sets paired with
+    # it.  Their folds are cells of the one battery x S_n grid when every pair
+    # is checked, else one fold per descent set of the sample.
     paired: dict[DescSet, list[int]] = {}
     for i, d in pairs:
         paired.setdefault(d, []).append(i)
-    sides: dict[tuple[int, DescSet], tuple[str, str, str]] = {}
     dclasses = inv_descent_classes(n)
+    grid = product_qsym_grid(bsets, dclasses) if n <= 5 else None
+    sides: dict[tuple[int, DescSet], tuple[str, str, str, str]] = {}
     for d, idx in paired.items():
-        folded = product_qsym_grid([battery[i][1] for i in idx], [dclasses[d.mask]])
-        found = _kronecker_sides(n, folded[:, 0], rows[idx], _ribbon_schur(n, d))
-        sides.update(zip([(i, d) for i in idx], found))
+        folded = (
+            grid[idx, d.mask] if grid is not None
+            else product_qsym_grid([bsets[i] for i in idx], [dclasses[d.mask]])[:, 0]
+        )
+        d_label = f"D{d.braces()}"
+        found = _kronecker_sides(n, folded, rows[idx], _ribbon_schur(n, d))
+        for i, side in zip(idx, found):
+            sides[i, d] = (f"{battery[i][0]} * {d_label}", *side)
     for i, d in pairs:
-        lhs, rhs, positive = sides[i, d]
-        label = f"{battery[i][0]} * D{d.braces()}"
+        label, lhs, rhs, positive = sides[i, d]
         led.add(label, lhs, rhs)
         led.add(f"{label} positive", positive, "Schur-positive")
 
@@ -540,10 +545,10 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     dessets = _dessets(n, n - 1)
-    lhss = _qsyms(n, product_qsym_grid([cyc], inv_descent_classes(n))[0])
+    lhss = _serialize_rows(n, product_qsym_grid([cyc], inv_descent_classes(n))[0].tolist())
     for d, lhs in zip(dessets, lhss):
         rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
-        led.add(f"D{d.braces()}", lhs.serialize(), rhs.serialize())
+        led.add(f"D{d.braces()}", lhs, rhs.serialize())
 
 
 def _r2_expected(n: int) -> SchurExpansion:
@@ -959,13 +964,9 @@ def _run_onecol_zigzags(led: _CaseLedger, n: int) -> None:
     vectors = _sign_vectors(n - 1)
     # Row v sums the ribbons of the sign words u that avoid v.
     avoids = np.array([[not _subseq(v, u) for u in universe] for v in vectors], np.int64)
-    rhss = _qsyms(n, _exact_matmul(avoids, _ribbon_f_rows(n, masks)))
+    rhss = _serialize_rows(n, _exact_matmul(avoids, _ribbon_f_rows(n, masks)).tolist())
     for v, rhs in zip(vectors, rhss):
-        led.add(
-            f"v={format_sign_vector(v)}",
-            qsym_of(one_column_class(v, n), n).serialize(),
-            rhs.serialize(),
-        )
+        led.add(f"v={format_sign_vector(v)}", qsym_of(one_column_class(v, n), n).serialize(), rhs)
 
 
 @_check(
@@ -1021,9 +1022,8 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
     battery = _expanded_battery(n - 1)[0]
     cells = product_qsym_grid([embed(b, n) for _, b, _ in battery], [cyclic_class(n)])
-    for (name, _, be), lhs in zip(battery, _qsyms(n, cells[:, 0])):
-        rhs = schur_f_vector(pieri_up(be))
-        led.add(name, lhs.serialize(), rhs.serialize())
+    for (name, _, be), lhs in zip(battery, _serialize_rows(n, cells[:, 0].tolist())):
+        led.add(name, lhs, schur_f_vector(pieri_up(be)).serialize())
 
 
 @_check(
@@ -1275,10 +1275,13 @@ def _scan_conj_10_2(n: int) -> tuple[str, int, str | None]:
 def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
     battery = fine_battery(n)
     dessets = _dessets(n, n - 1)
-    dclasses = inv_descent_classes(n)
-    bsets = [bset for _, bset in battery]
-    left = product_qsym_grid(dclasses, bsets)
-    right = product_qsym_grid(bsets, dclasses).transpose(1, 0, 2)
+    grid = product_qsym_grid([bset for _, bset in battery], inv_descent_classes(n))
+    # grid[b, D, i] counts the pairs (y, w), y in battery set b and w in class D,
+    # with Des(y w) = i.  For a fixed y, x -> w = (x y)^-1 permutes S_n, and x is
+    # in class i with Des(x y) = D exactly when w is in class D with
+    # Des(y w) = i: so grid[b, D, i] also counts the product of class i after
+    # set b at mask D, and the one grid holds both sides, indexed [i, b, mask].
+    left, right = grid.transpose(2, 0, 1), grid.transpose(1, 0, 2)
     commute = (left == right).all(axis=2)
     # Cases run d-major, so the first failing pair is the first in ravel order.
     failing = np.flatnonzero(~commute)
@@ -1286,13 +1289,8 @@ def _scan_conj_10_3(n: int) -> tuple[str, int, str | None]:
         return "holds", commute.size, None
     first = int(failing[0])
     i, b = divmod(first, len(battery))
-    lq, rq = _qsyms(n, np.stack([left[i, b], right[i, b]]))
-    return (
-        "refuted",
-        first + 1,
-        f"B={battery[b][0]}, J={dessets[i].braces()}: {lq.serialize()} != "
-        f"{rq.serialize()}",
-    )
+    lq, rq = _serialize_rows(n, [left[i, b].tolist(), right[i, b].tolist()])
+    return "refuted", first + 1, f"B={battery[b][0]}, J={dessets[i].braces()}: {lq} != {rq}"
 
 
 @_scan(
@@ -1313,7 +1311,7 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
     kron = {nu: dict(zip(parts, kronecker_rows(shapes, SchurExpansion.single(nu)))) for nu in parts}
     cases = 0
     for least_a, mu, a in items:
-        products = _qsyms(n, product_qsym_grid([a], classes)[0])
+        products = [QSym(n, tuple(row)) for row in product_qsym_grid([a], classes)[0].tolist()]
         for (least_b, nu, _), product in zip(items, products):
             cases += 1
             expected = SchurExpansion.from_row(n, kron[nu][mu])

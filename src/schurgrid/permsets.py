@@ -99,19 +99,22 @@ _log = logging.getLogger("schurgrid")
 
 def _blocks(
     mx: np.ndarray, my: np.ndarray, dtype: type, rows: int
-) -> Iterator[tuple[slice, slice, np.ndarray]]:
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
     """``(left rows, right rows)`` slices that cover every pair of rows of
     two sides with multiplicities ``mx`` and ``my``, about ``rows`` pairs a
-    block (one left row at least), and the products of their weights, each
-    block's cast to ``dtype``.  With one side empty there is no block, so the
-    other side's weights, which may not fit ``dtype``, are never cast."""
+    block (one left row at least), and the weights of the two slices, cast
+    to ``dtype``.  A left side of more than ``rows // 2`` rows is cut into
+    slices of that many, so that each block of ``k`` left rows takes
+    ``rows // k >= 2`` right rows, over ``rows - k`` pairs.  With one side
+    empty there is no block, so the other side's weights, which may not fit
+    ``dtype``, are never cast."""
     rows = max(1, rows)
-    for i in range(0, len(mx) if len(my) else 0, rows):
-        step = max(1, rows // min(rows, len(mx) - i))
+    stride = max(1, min(len(mx), rows // 2))
+    for i in range(0, len(mx) if len(my) else 0, stride):
+        step = rows // min(stride, len(mx) - i)
         for j in range(0, len(my), step):
-            xs, ys = slice(i, i + rows), slice(j, j + step)
-            ms = mx[xs].astype(dtype, copy=False), my[ys].astype(dtype, copy=False)
-            yield xs, ys, np.multiply.outer(*ms).ravel()
+            xs, ys = slice(i, i + stride), slice(j, j + step)
+            yield xs, ys, mx[xs].astype(dtype, copy=False), my[ys].astype(dtype, copy=False)
 
 
 def _compositions(
@@ -128,8 +131,9 @@ def _compositions(
         raise ValueError("degree mismatch")
     dtype = _mult_dtype(am.total_size() * bm.total_size())
     x, y = am.words, bm.words - 1
-    for xs, ys, weights in _blocks(am.mults, bm.mults, dtype, _BLOCK // max(n, 1)):
+    for xs, ys, wx, wy in _blocks(am.mults, bm.mults, dtype, _BLOCK // max(n, 1)):
         # x[xs][:, y[ys]][r, c] is the word x[xs][r] after y[ys][c].
+        weights = np.multiply.outer(wx, wy).ravel()
         yield x[xs][:, y[ys]].reshape(len(weights), n), weights
 
 
@@ -195,12 +199,12 @@ def product_qsym_grid(
     acc = np.zeros(len(ls) * len(rs) * width, dtype)
     lbase, rbase, xt, y = lid * (len(rs) * width), rid * width, x.T.copy(), y - 1
     blocks = 0
-    for xs, ys, weights in _blocks(mx, my, dtype, _BLOCK // 32):
-        # xt[:, xs][y[ys, c]][s, r] is letter c of x[r] after y[s], so the masks
-        # come out (s, r) and are added transposed.
-        keys = lbase[xs, None] + rbase[None, ys]
-        keys += _descent_masks(n, keys.shape[::-1], lambda c: xt[:, xs][y[ys, c]]).T
-        np.add.at(acc, keys.ravel(), weights)
+    for xs, ys, wx, wy in _blocks(mx, my, dtype, _BLOCK // 32):
+        # xt[:, xs][y[ys, c]][s, r] is letter c of x[r] after y[s], so the block
+        # is laid out (s, r), its keys and weights too.
+        keys = rbase[ys, None] + lbase[None, xs]
+        keys += _descent_masks(n, keys.shape, lambda c: xt[:, xs][y[ys, c]])
+        np.add.at(acc, keys.ravel(), np.multiply.outer(wy, wx).ravel())
         blocks += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -122,6 +123,13 @@ def format_perm(p: Perm) -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 16)
+def _mask_braces(mask: int) -> str:
+    """The members of the descent set with bits ``mask``, in braces, read
+    straight off the bits (the same for every degree above the top bit)."""
+    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+
+
 @dataclass(frozen=True, order=True)
 class DescSet:
     """A subset of ``[n-1]`` attached to its ambient degree ``n``.
@@ -161,7 +169,7 @@ class DescSet:
         return tuple(i + 1 for i in range(max(self.n - 1, 0)) if self.mask >> i & 1)
 
     def braces(self) -> str:
-        return "{" + ",".join(str(i) for i in self.members) + "}"
+        return _mask_braces(self.mask)
 
     def __contains__(self, i: int) -> bool:
         return 1 <= i <= self.n - 1 and bool(self.mask >> (i - 1) & 1)

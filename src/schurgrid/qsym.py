@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .permutations import (
     CollectionLike,
     DescSet,
     _descent_masks,
+    _mask_braces,
     _mult_dtype,
     _row_keys,
     as_multiset,
@@ -78,18 +79,24 @@ def _width(n: int) -> int:
     return 1 << max(n - 1, 0)
 
 
-@lru_cache(maxsize=1 << 16)
-def _mask_braces(mask: int) -> str:
-    """``DescSet(n, mask).braces()``, read straight off the bits without
-    building the set."""
-    members = []
-    i = 1
-    while mask:
-        if mask & 1:
-            members.append(str(i))
-        mask >>= 1
-        i += 1
-    return "{" + ",".join(members) + "}"
+@lru_cache(maxsize=32)
+def _f_terms(n: int) -> tuple[str, ...]:
+    """The ``F{...}`` term of every mask of degree ``n``."""
+    return tuple(f"F{_mask_braces(mask)}" for mask in range(_width(n)))
+
+
+def _serialize_rows(n: int, rows: Iterable[Sequence[int]]) -> list[str]:
+    """``QSym(n, row).serialize()`` of each coefficient row (Python ints, as
+    ``ndarray.tolist`` gives them): the nonzero terms of a row, read from the
+    degree's table of terms, joined."""
+    terms = _f_terms(n)
+    out = []
+    for row in rows:
+        body = " + ".join(
+            [t if c == 1 else f"{c}*{t}" if c != -1 else f"-{t}" for t, c in zip(terms, row) if c]
+        )
+        out.append(f"n={n}; {body or '0'}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,19 +157,7 @@ class QSym:
 
     def serialize(self) -> str:
         """Canonical text, e.g. ``n=3; F{} + 2*F{1} + F{1,2}``."""
-        terms = []
-        for mask, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            braces = _mask_braces(mask)
-            if c == 1:
-                terms.append(f"F{braces}")
-            elif c == -1:
-                terms.append(f"-F{braces}")
-            else:
-                terms.append(f"{c}*F{braces}")
-        body = " + ".join(terms) if terms else "0"
-        return f"n={self.n}; {body}"
+        return _serialize_rows(self.n, [self.coeffs])[0]
 
     def evaluate_monomials(self, n_vars: int) -> dict[tuple[int, ...], int]:
         """Expansion into monomials in ``x_1..x_{n_vars}``: maps exponent
@@ -521,9 +516,10 @@ def pieri_down(e: SchurExpansion) -> SchurExpansion:
 
 def _placements(
     inner: Partition, n: int, outer: Partition
-) -> tuple[dict[Partition, np.ndarray], int]:
+) -> tuple[dict[Partition, int], np.ndarray, int]:
     """Standard fillings of ``n`` boxes added to ``inner`` inside ``outer``
-    counted by final shape and descent mask, and the widest level's states.
+    counted by final shape and descent mask: the row of each final shape, the
+    count matrix, and the widest level's states.
 
     The entries 1..n are placed one at a time.  A state is the shape filled
     so far with the row of its largest entry; the states of level ``k`` are
@@ -533,24 +529,38 @@ def _placements(
     ``outer``) is one row add into the upper or the lower half of the
     child's row.  The start row lies below every row of ``outer``, so entry
     1 is no descent.  The last level (the start one when n = 0) is keyed by
-    shape alone.  An entry of level ``k`` is at most ``k!``: ``int64`` while
-    ``n! < 2**63``, else Python ints."""
+    shape alone, and every level's states are in descending order, so the
+    final shapes are in ``partitions`` order.  The last step composes its
+    moves with those into the level before, which is never held.  An entry
+    of level ``k`` is at most ``k!``: ``int64`` while ``n! < 2**63``, else
+    Python ints."""
     dtype = _mult_dtype(math.factorial(n))
     index: dict = {(inner, len(outer)) if n else inner: 0}
     counts, widest = np.ones((1, 1), dtype), 1
     for k in range(n):
         width, last = _width(k), k == n - 1
-        grown, moves = {}, []
+        moves = []
         for (shape, row), s in index.items():
             for r, new in _addable_corners(shape):
                 if r < len(outer) and new[r] <= outer[r]:
-                    d = grown.setdefault(new if last else (new, r), len(grown))
-                    moves.append((s, d, width if r > row else 0))
-        out = np.zeros((len(grown), _width(k + 1)), dtype)
-        for s, d, lo in moves:
-            out[d, lo : lo + width] += counts[s]
-        index, counts, widest = grown, out, max(widest, len(grown))
-    return {shape: counts[i] for shape, i in index.items()}, widest
+                    moves.append((s, new if last else (new, r), width if r > row else 0))
+        keys = sorted({key for _, key, _ in moves}, reverse=True)
+        index, widest = {key: i for i, key in enumerate(keys)}, max(widest, len(keys))
+        if k == n - 2:
+            # The level before the last is never built: each move of the last
+            # step is composed with the moves into its source.
+            into: list[list[tuple[int, int]]] = [[] for _ in keys]
+            for s, key, lo in moves:
+                into[index[key]].append((s, lo))
+            continue
+        if k and last:
+            moves = [(t, key, lo + half) for s, key, lo in moves for t, half in into[s]]
+            width = _width(k - 1)
+        out = np.zeros((len(keys), _width(k + 1)), dtype)
+        for s, key, lo in moves:
+            out[index[key], lo : lo + width] += counts[s]
+        counts = out
+    return index, counts, widest
 
 
 def skew_schur_f_vector(shape: SkewShape) -> QSym:
@@ -562,8 +572,8 @@ def skew_schur_f_vector(shape: SkewShape) -> QSym:
     'n=2; F{} + F{1}'
     """
     n = shape.size()
-    rows, _ = _placements(shape.inner, n, shape.outer)
-    return QSym(n, tuple(rows[shape.outer].tolist()))
+    index, counts, _ = _placements(shape.inner, n, shape.outer)
+    return QSym(n, tuple(counts[index[shape.outer]].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,10 +647,9 @@ def descent_count_table(n: int) -> DescentCountTable:
             _log.debug("descent table n=%d: memory hit", n)
         return table
     t0 = time.perf_counter()
-    rows, widest = _placements((), n, (n,) * n)  # the n-by-n box holds every partition
-    table = _table_memory[n] = DescentCountTable(
-        n, np.array([rows[mu] for mu in partitions(n)], np.int64)
-    )
+    # The n-by-n box holds every partition, so the last count matrix is the table.
+    _, counts, widest = _placements((), n, (n,) * n)
+    table = _table_memory[n] = DescentCountTable(n, counts.astype(np.int64, copy=False))
     if debug:
         _log.debug("descent table n=%d: built, %d states at the widest level, %.1f ms",
                    n, widest, 1e3 * (time.perf_counter() - t0))

@@ -31,6 +31,7 @@ from schurgrid.permsets import (
     cyclic_class,
     embed,
     inv_descent_class,
+    inv_descent_classes,
     inv_weak_descent_class,
     inv_weak_descent_classes,
     multiset_product,
@@ -310,6 +311,19 @@ def test_batched_conj_10_3_reports_the_first_pairwise_refutation(monkeypatch):
     assert (record.verdict, record.cases, record.witness) == _first_noncommuting_pair(3)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_grid_holds_both_sides_of_conj_10_3(n):
+    # For a fixed y, x -> (x y)^-1 permutes S_n: the fold of the classes after
+    # any multiset equals the fold of the multiset after the classes, with the
+    # class and descent axes swapped.  The two-grid route is the oracle.
+    swap = (2, 1, *range(3, n + 1)) if n > 1 else (1,)
+    lopsided = as_multiset({tuple(range(n, 0, -1)): 3, tuple(range(1, n + 1)): 2}, n)
+    bsets = [bset for _, bset in checks.fine_battery(n)] + [as_multiset([swap]), lopsided]
+    dclasses = inv_descent_classes(n)
+    grid = product_qsym_grid(bsets, dclasses)
+    assert np.array_equal(product_qsym_grid(dclasses, bsets), grid.transpose(2, 0, 1))
+
+
 def test_ribbons_are_columns_of_the_descent_count_table():
     # Gessel's ribbon expansion against the skew placement walk of the ribbon.
     for n in range(1, 9):
@@ -387,10 +401,21 @@ def test_planted_exact_cell_fault_refutes_at_the_first_weak_class_holding_it(mon
     )
 
 
-@pytest.mark.parametrize("check_id, n", [("thm-main-1", 4), ("thm-horiz-induction", 5)])
+@pytest.mark.parametrize(
+    "check_id, n",
+    [("thm-main-1", 4), ("thm-main-2", 4), ("thm-main-2", 5), ("thm-horiz-induction", 5)],
+)
 def test_battery_checks_fold_once(caplog, check_id, n):
     caplog.set_level(logging.DEBUG, logger="schurgrid")
     assert run_check(check_id, n).status == "verified"
+    folds = [r for r in caplog.records if r.getMessage().startswith("product_qsym_grid")]
+    assert len(folds) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_conj_10_3_folds_once_per_degree(caplog, n):
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    assert checks._SCANS["conj-10-3"].runner(n)[0] == "holds"
     folds = [r for r in caplog.records if r.getMessage().startswith("product_qsym_grid")]
     assert len(folds) == 1
 

@@ -391,6 +391,26 @@ def test_product_qsym_grid_logs_its_work(caplog):
     ]
 
 
+@pytest.mark.parametrize("left_rows, blocks", [(5, 8), (12, 18), (28, 42)])
+def test_product_qsym_grid_blocks_hold_about_a_block_of_pairs(
+    monkeypatch, caplog, left_rows, blocks
+):
+    """At 16 compositions a block, against 24 right rows: 5 left rows are one
+    slice with 3 right rows a block, as before; 12 or 28 left rows are cut in
+    slices of 8 with 2 right rows a block (and a last slice of 4 with 4), where
+    a slice of 12 left rows used to take one right row a block (24 and 48
+    blocks)."""
+    words = list(itertools.permutations(range(1, 6)))
+    lefts, rights = [as_multiset(words[:left_rows])], [as_multiset(words[:24])]
+    expected = product_qsym_grid(lefts, rights)
+    monkeypatch.setattr(permsets, "_BLOCK", 32 * 16)
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    assert np.array_equal(product_qsym_grid(lefts, rights), expected)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"product_qsym_grid 1 x 1: {24 * left_rows} compositions in {blocks} blocks"
+    ]
+
+
 def test_product_qsym_edge_cases():
     empty = as_multiset([], 3)
     full = as_multiset(symmetric_group(3))

@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,31 @@ def test_qsym_serialize_braces_match_descsets():
             assert q.serialize() == f"n={n}; -3*F{DescSet(n, mask).braces()}"
         terms = [f"F{DescSet(n, mask).braces()}" for mask in range(width)]
         assert QSym(n, (1,) * width).serialize() == f"n={n}; " + " + ".join(terms)
+
+
+def reference_serialize(n, coeffs):
+    """The F-vector text term by term, each set's braces from its members."""
+    terms = []
+    for mask, c in enumerate(coeffs):
+        if c:
+            term = "F{" + ",".join(map(str, DescSet(n, mask).members)) + "}"
+            terms.append(term if c == 1 else f"-{term}" if c == -1 else f"{c}*{term}")
+    return f"n={n}; " + (" + ".join(terms) or "0")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+def test_table_serializer_matches_the_term_by_term_text(n):
+    width = 1 << max(n - 1, 0)
+    for mask in range(width):
+        term = reference_serialize(n, [0] * mask + [1]).split("; ")[1]
+        assert f"F{DescSet(n, mask).braces()}" == term
+    signs = np.random.default_rng(n).integers(-3, 4, width).tolist()
+    huge = [2**64 + m if m % 2 else -(2**63) - m for m in range(width)]
+    rows = [[0] * width, [1] * width, [-1] * width, signs]
+    for matrix in (np.array(rows, np.int64), np.array([*rows, huge], object)):
+        texts = qsym._serialize_rows(n, matrix.tolist())
+        assert texts == [reference_serialize(n, row) for row in matrix.tolist()]
+        assert texts == [QSym(n, tuple(row)).serialize() for row in matrix.tolist()]
 
 
 def test_qsym_of_validates_degrees():
@@ -555,12 +581,27 @@ def test_placement_walk_dtype_boundary(n, dtype):
     # below its corner, and s - 1 is a descent exactly when s is one of
     # them: the F-vector is 1 at every mask with three bits, 0 elsewhere.
     hook = (n - 3, 1, 1, 1)
-    rows, _ = qsym._placements((), n, hook)
-    row = rows[hook]
+    index, counts, _ = qsym._placements((), n, hook)
+    row = counts[index[hook]]
     assert row.dtype == dtype
     masks = np.arange(1 << (n - 1))
     bits = sum(masks >> i & 1 for i in range(n - 1))
     assert np.array_equal(row.astype(np.int64), (bits == 3).astype(np.int64))
+
+
+def test_descent_count_table_is_built_without_a_second_table(monkeypatch):
+    # The last step composes its moves with those into the level before, which
+    # is never built, and the last count matrix is the table, so the traced
+    # peak of a build stays well below two tables (holding that level and
+    # copying the table took 2.09 tables at n=12).
+    monkeypatch.setattr(qsym, "_table_memory", {})
+    tracemalloc.start()
+    try:
+        matrix = descent_count_table(12).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * matrix.nbytes
 
 
 def test_descent_count_table_logs_builds_and_hits(monkeypatch, caplog):
