@@ -10,19 +10,19 @@ memory by placing the entries ``1..n`` one count matrix at a time.  Started
 from an inner shape, the same walk gives the fundamental vector of any skew
 shape: the sum of ``F_{Des(T)}`` over its standard tableaux ``T`` (Gessel).
 
-One in-place subset-sum (zeta) transform, one vectorised add per bit,
-takes fundamental coefficients to monomial ones.  Applied to the row of
-``mu`` and read at the partial-sum mask of ``lambda`` it gives the Kostka
-number ``K[mu][lambda]``; the Kostka matrix is unitriangular in the
-lex-decreasing order of :func:`partitions`, and each degree's table keeps,
-built on first use, its integer inverse (found by back-substitution).  The
-Schur coefficients of a vector are its monomial coefficients at the
-partitions times that inverse; the vector is symmetric exactly when the
-coefficients times the matrix rebuild it, and otherwise the first mask
-whose monomial coefficient differs from that of the least mask of its
-rearrangement class witnesses that it is not.  Every product runs in
-``int64`` when its length times the largest entries of its two sides stays
-below 2**63, and in Python ints (``object`` arrays) otherwise.
+Read at the partial-sum masks of the partitions, the table's columns form
+its partition block: entry ``[lambda, mu]`` counts the tableaux of shape
+``lambda`` with descent set exactly the partial sums of ``mu``.  These
+standardize semistandard tableaux of content ``mu`` (only the row-by-row
+filling when ``lambda = mu``), so the block is unitriangular in the
+lex-decreasing order of :func:`partitions`; each degree's table keeps its
+integer inverse, found by back-substitution.  The Schur coefficients of a
+vector are its entries at those masks times the inverse.  The vector is
+symmetric exactly when they rebuild it; otherwise the first mask whose
+monomial coefficient (an in-place subset-sum transform) differs from that
+of the least mask of its rearrangement class witnesses that it is not.
+Every product runs in ``int64`` when its length times the largest entries
+of its two sides stays below 2**63, and in Python ints otherwise.
 
 >>> schur_expand(QSym.unit(3) + QSym.single(3, DescSet.of(3, [1]))
 ...              + QSym.single(3, DescSet.of(3, [2]))).serialize()
@@ -326,7 +326,7 @@ def _exact_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``rows @ matrix`` in ``int64`` when no partial sum can reach 2**63
     (their length times the largest entry of each side bounds them all),
     and in Python ints otherwise."""
-    big = [int(np.abs(a).max(initial=0)) for a in (rows, matrix)]
+    big = [max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (rows, matrix)]
     dtype = _mult_dtype(rows.shape[-1] * big[0] * big[1])
     return rows.astype(dtype, copy=False) @ matrix.astype(dtype, copy=False)
 
@@ -397,21 +397,22 @@ def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     """The Schur expansion of a quasisymmetric vector, or a
     :class:`NotSymmetric` certificate.
 
-    The monomial coefficients of ``q`` at the partitions of ``n``, times the
-    table's inverse Kostka matrix, give the candidate coefficients.  The
-    candidate is returned when its fundamental vector is ``q``; otherwise
-    ``q`` is not symmetric and the monomial witness says where.
+    The entries of ``q`` at the partial-sum masks of the partitions of
+    ``n``, times the inverse of the table's partition block, give the
+    candidate coefficients.  The candidate is returned when its fundamental
+    vector is ``q``; otherwise ``q`` is not symmetric and the monomial
+    witness says where.
 
     >>> isinstance(schur_expand(QSym.single(3, DescSet.of(3, [1]), 2)
     ...                         + QSym.unit(3)), NotSymmetric)
     True
     """
     table = descent_count_table(q.n)
-    mono = _monomials(q)
-    coeffs = _exact_matmul(mono[None, _bounds(q.n)], table.kostka_inverse)
+    at_bounds = _int_array([[q.coeffs[mask] for mask in _bounds(q.n).tolist()]])
+    coeffs = _exact_matmul(at_bounds, table.partition_block_inverse)
     if _exact_matmul(coeffs, table.matrix)[0].tolist() == list(q.coeffs):
         return SchurExpansion.from_row(q.n, coeffs[0])
-    witness = _monomial_witness(q, mono)
+    witness = _monomial_witness(q, _monomials(q))
     assert witness is not None, "a vector outside the Schur span is not symmetric"
     return witness
 
@@ -587,25 +588,17 @@ class DescentCountTable:
     matrix: np.ndarray
 
     @cached_property
-    def kostka(self) -> np.ndarray:
-        """``kostka[i, j]`` = K_{mu lambda}, the number of semistandard
-        tableaux of shape ``mu`` and content ``lambda`` for the ``i``-th and
-        ``j``-th partitions of ``n``: the sum of the ``mu`` row over the
-        subsets of the partial sums of ``lambda``, read off the subset-sum
-        transform of each row."""
-        return _subset_sums(self.matrix.copy())[:, _bounds(self.n)]
-
-    @cached_property
-    def kostka_inverse(self) -> np.ndarray:
-        """The inverse of the unitriangular Kostka matrix, by back-substitution:
-        row ``i`` is the ``i``-th unit row minus the later rows weighted by
-        row ``i`` of K, each product in ``int64`` while its bound allows and
-        in Python ints from the first one that does not."""
-        kostka = self.kostka
-        inverse = np.identity(len(kostka), np.int64)
-        for i in reversed(range(len(kostka))):
-            later = _exact_matmul(kostka[i, i + 1 :], inverse[i + 1 :])
-            inverse = inverse.astype(later.dtype, copy=False)
+    def partition_block_inverse(self) -> np.ndarray:
+        """The inverse of the unitriangular partition block ``matrix[:,
+        _bounds(n)]``, by back-substitution: row ``i`` is the ``i``-th unit row
+        minus the later rows weighted by row ``i`` of the block, each product
+        in ``int64`` while its bound allows and in Python ints from the first
+        one that does not."""
+        block = self.matrix[:, _bounds(self.n)]
+        inverse = np.identity(len(block), np.int64)
+        for i in reversed(range(len(block))):
+            later = _exact_matmul(block[i, i + 1 :], inverse[i + 1 :])
+            inverse = inverse.astype(np.result_type(inverse, later), copy=False)
             inverse[i] -= later
         return inverse
 

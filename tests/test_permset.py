@@ -106,14 +106,13 @@ def test_set_digest_equals_the_string_route(s):
     led = _CaseLedger()
     led.add_sets("same", s, PermSet.from_words(s.words[::-1]))
     expected = f"set of {len(s)} sha256:{_digest(sorted(map(format_perm, s)))}"
-    assert led._lhs == [f"same :: {expected}"]
-    assert led._mismatch is None
+    assert led.outcome() == ("verified", expected, expected, "")
 
 
 def test_add_sets_reports_the_members_outside_the_other_side():
     led = _CaseLedger()
     led.add_sets("differ", _set(3, [(1, 2, 3), (2, 1, 3)]), _set(3, [(1, 2, 3)]))
-    assert led._lhs == ["differ :: set of 2; not on right: 213"]
+    assert led.cases == 1
     assert led.outcome()[1:3] == ("set of 2; not on right: 213", "set of 1; not on left: -")
 
 

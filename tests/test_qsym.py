@@ -308,24 +308,31 @@ def test_schur_expand_decides_symmetry_like_monomials(q):
         assert schur_f_vector(result) == q
 
 
-def loop_schur_expand(q):
-    """The loop route that the array route replaced, kept as the reference:
-    subset sums mask by mask, back-substitution against the Kostka matrix,
-    the rebuilt vector compared, and the first mask whose monomial
-    coefficient differs from the first one of its rearrangement class."""
-    n, table = q.n, descent_count_table(q.n)
-    kostka, rows = table.kostka.tolist(), dict(zip(partitions(n), table.matrix.tolist()))
-    mono = list(q.coeffs)
-    for bit in range(n - 1):
-        for mask in range(len(mono)):
+def loop_subset_sums(v):
+    """Subset sums of a vector indexed by masks, mask by mask."""
+    v = list(v)
+    for bit in range(max(len(v).bit_length() - 1, 0)):
+        for mask in range(len(v)):
             if mask >> bit & 1:
-                mono[mask] += mono[mask ^ 1 << bit]
+                v[mask] += v[mask ^ 1 << bit]
+    return v
+
+
+def loop_schur_expand(q):
+    """The loop route of monomial coefficients and Kostka numbers, kept as
+    the reference: subset sums mask by mask, the Kostka number K[mu][lam]
+    read off the subset sums of the table row of ``mu``, back-substitution
+    against those numbers, the rebuilt vector compared, and the first mask
+    whose monomial coefficient differs from the first one of its
+    rearrangement class."""
+    n, parts = q.n, partitions(q.n)
+    rows = dict(zip(parts, descent_count_table(n).matrix.tolist()))
+    bounds = [composition_boundary_mask(lam) for lam in parts]
+    kostka = [[sums[b] for b in bounds] for sums in map(loop_subset_sums, rows.values())]
+    mono = loop_subset_sums(q.coeffs)
     coeffs = []
-    for j, lam in enumerate(partitions(n)):
-        coeffs.append(
-            mono[composition_boundary_mask(lam)]
-            - sum(c * kostka[i][j] for i, c in enumerate(coeffs))
-        )
+    for j, b in enumerate(bounds):
+        coeffs.append(mono[b] - sum(c * kostka[i][j] for i, c in enumerate(coeffs)))
     e = SchurExpansion.from_dict(n, dict(zip(partitions(n), coeffs)))
     rebuilt = [0] * len(mono)
     for mu, c in e.coeffs:
@@ -474,26 +481,72 @@ def ssyt_count(mu, content):
     return count
 
 
-def test_kostka_matrix_counts_semistandard_tableaux():
-    for n in range(7):
+def test_partition_block_is_unitriangular_below_the_kostka_numbers():
+    # Entry [lam, mu]: tableaux of shape lam with descent set exactly the
+    # partial sums of mu, among the K[lam][mu] standardized SSYT of content mu.
+    for n in range(15):
         parts = partitions(n)
-        kostka = descent_count_table(n).kostka
-        assert kostka.dtype.kind == "i"
-        assert kostka.tolist() == [[ssyt_count(mu, lam) for lam in parts] for mu in parts]
+        block = descent_count_table(n).matrix[:, [composition_boundary_mask(mu) for mu in parts]]
+        assert block.dtype.kind == "i"
+        assert (np.diag(block) == 1).all() and not np.tril(block, -1).any(), n
+        if n <= 6:
+            kostka = np.array([[ssyt_count(lam, mu) for mu in parts] for lam in parts])
+            assert (block <= kostka).all(), n
 
 
-def test_kostka_inverse_is_the_inverse(monkeypatch):
+def test_partition_block_inverse_is_the_inverse(monkeypatch):
     for n in range(13):
         table = descent_count_table(n)
-        inverse = table.kostka_inverse
+        inverse = table.partition_block_inverse
+        block = table.matrix[:, [composition_boundary_mask(mu) for mu in partitions(n)]]
         assert inverse.dtype == np.int64
-        assert (table.kostka @ inverse == np.identity(len(inverse), np.int64)).all(), n
+        assert (block @ inverse == np.identity(len(inverse), np.int64)).all(), n
     # Python ints from the first product whose bound reaches 50 on.
     monkeypatch.setattr(qsym, "_mult_dtype", lambda total: np.int64 if total < 50 else object)
     table = descent_count_table(9)
-    promoted = qsym.DescentCountTable(9, table.matrix).kostka_inverse
+    promoted = qsym.DescentCountTable(9, table.matrix).partition_block_inverse
     assert promoted.dtype == object
-    assert promoted.tolist() == table.kostka_inverse.tolist()
+    assert promoted.tolist() == table.partition_block_inverse.tolist()
+
+
+def test_schur_expand_reads_monomials_only_for_a_witness(monkeypatch):
+    symmetric = qsym_of(itertools.permutations(range(1, 5)))
+    skewed = qsym_of([(2, 1, 3)])
+    witness = schur_expand(skewed)
+
+    def refuse(q):
+        raise AssertionError("monomial coefficients of a symmetric vector")
+
+    monkeypatch.setattr(qsym, "_monomials", refuse)
+    assert schur_expand(symmetric).serialize() == "s[4] + 3*s[3,1] + 2*s[2,2] + 3*s[2,1,1] + s[1,1,1,1]"
+    with pytest.raises(AssertionError, match="monomial coefficients"):
+        schur_expand(skewed)
+    monkeypatch.undo()
+    assert schur_expand(skewed) == witness
+    assert witness.serialize() == (
+        "NotSymmetric(n=3; monomial coefficient at {1} is 1 but at {2} is 0)"
+    )
+
+
+@pytest.mark.parametrize("big", [-(2**62), 2**62])
+def test_exact_matmul_promotes_on_the_larger_side_of_zero(big):
+    rows = np.array([[big, 1]], np.int64)
+    matrix = np.array([[3], [-1]], np.int64)
+    out = qsym._exact_matmul(rows, matrix)
+    assert out.dtype == object
+    assert out.tolist() == [[3 * big - 1]]
+    small = qsym._exact_matmul(np.array([[-5, 2]]), matrix)
+    assert small.dtype == np.int64 and small.tolist() == [[-17]]
+
+
+def test_exact_matmul_on_object_operands():
+    rows = np.array([[-(2**70), 1]], object)
+    matrix = np.array([[2], [-3]], np.int64)
+    out = qsym._exact_matmul(rows, matrix)
+    assert out.dtype == object
+    assert out.tolist() == [[-(2**71) - 3]]
+    small = qsym._exact_matmul(np.array([[4, -1]], object), matrix)
+    assert small.tolist() == [[11]]
 
 
 def test_descent_count_table_matches_tableau_enumeration():
@@ -633,7 +686,7 @@ def plant_table_file(path, n, counts):
 def test_planted_table_files_are_ignored(tmp_path, monkeypatch):
     # Two wrong tables with valid checksums: the (3,1) and (2,2) columns
     # swapped (the S_4 expansion would read 2*s[3,1] + 3*s[2,2]), and one
-    # entry raised, which leaves the Kostka matrix unitriangular.  Tables
+    # entry raised off the partition block, which leaves it unchanged.  Tables
     # are built in memory only, so neither file is read and none is written.
     monkeypatch.setenv("SCHURGRID_CACHE_DIR", str(tmp_path / "planted"))
     cache = cache_dir()
