@@ -122,13 +122,11 @@ def mn_character(lam: Sequence[int], rho: Sequence[int]) -> int:
     return _mn_beta(_beta_set(lam), rho)
 
 
-@lru_cache(maxsize=None)
 def character_row(lam: Partition, n: int) -> tuple[int, ...]:
     """Values of one irreducible character, indexed like ``partitions(n)``."""
     return tuple(mn_character(lam, rho) for rho in partitions(n))
 
 
-@lru_cache(maxsize=None)
 def character_table(n: int) -> dict[Partition, tuple[int, ...]]:
     """Full character table of degree ``n``: rows by shape, columns by
     cycle type in ``partitions(n)`` order."""

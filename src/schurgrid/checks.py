@@ -31,6 +31,7 @@ from .characters import kronecker_rows, sign_twist
 from .grids import (
     GridMatrix,
     GridResourceError,
+    _budget,
     arc_matrices,
     complement_matrix,
     enumerate_grid,
@@ -134,7 +135,7 @@ _SAMPLE_SEED = 20260814
 
 def check_budget() -> int:
     """Work budget (estimated elementary objects) a single check may use."""
-    return int(os.environ.get("SCHURGRID_CHECK_BUDGET", DEFAULT_CHECK_BUDGET))
+    return _budget("SCHURGRID_CHECK_BUDGET", DEFAULT_CHECK_BUDGET)
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,19 @@ def grid_budget() -> int:
     visits the words themselves.  The same budget caps the ``n! * n``
     letters of the symmetric group that the array-built families start
     from: the default admits ``n <= 10`` and refuses ``n = 11``."""
-    env = os.environ.get("SCHURGRID_GRID_BUDGET")
-    return int(env) if env else 100_000_000
+    return _budget("SCHURGRID_GRID_BUDGET", 100_000_000)
+
+
+def _budget(var: str, default: int) -> int:
+    """The integer in environment variable ``var``; unset or empty means
+    ``default``, and anything else not an integer is refused by name."""
+    text = os.environ.get(var)
+    if not text:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer, got {text!r}") from None
 
 
 _CHUNK = 1 << 18

@@ -21,6 +21,9 @@ vector are its entries at those masks times the inverse.  The vector is
 symmetric exactly when they rebuild it; otherwise the first mask whose
 monomial coefficient (an in-place subset-sum transform) differs from that
 of the least mask of its rearrangement class witnesses that it is not.
+The same transform gives the expansion in finitely many variables
+(:meth:`QSym.evaluate_monomials`): the monomial coefficient at a mask is
+that of each exponent vector whose nonzero entries are its blocks in order.
 Every product runs in ``int64`` when its length times the largest entries
 of its two sides stays below 2**63, and in Python ints otherwise.
 
@@ -37,6 +40,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +55,7 @@ from .permutations import (
     _row_keys,
     as_multiset,
     composition_boundary_mask,
+    composition_of_descents,
 )
 from .tableaux import Partition, SkewShape, partitions
 
@@ -160,40 +165,22 @@ class QSym:
         return _serialize_rows(self.n, [self.coeffs])[0]
 
     def evaluate_monomials(self, n_vars: int) -> dict[tuple[int, ...], int]:
-        """Expansion into monomials in ``x_1..x_{n_vars}``: maps exponent
-        vectors (length ``n_vars``) to integer coefficients."""
+        """Expansion into monomials in ``x_1..x_{n_vars}``: sorted exponent
+        vectors (length ``n_vars``) to integer coefficients.  Each vector
+        comes from one mask, whose blocks are its nonzero entries in order."""
         if n_vars < 0:
             raise ValueError("number of variables must be >= 0")
         out: dict[tuple[int, ...], int] = {}
-        for mask, c in enumerate(self.coeffs):
+        for mask, c in enumerate(monomial_coefficients(self)):
             if not c:
                 continue
-            for expo in _fundamental_monomials(self.n, mask, n_vars):
-                out[expo] = out.get(expo, 0) + c
-        return {e: c for e, c in sorted(out.items()) if c}
-
-
-@lru_cache(maxsize=4096)
-def _fundamental_monomials(
-    n: int, mask: int, n_vars: int
-) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of the monomials of one fundamental basis element:
-    weakly increasing maps [n] -> [n_vars], strict where the mask is set."""
-    out: list[tuple[int, ...]] = []
-    expo = [0] * n_vars
-
-    def walk(pos: int, var: int) -> None:
-        if pos == n:
-            out.append(tuple(expo))
-            return
-        strict_next = bool(mask >> pos & 1) if pos < n - 1 else False
-        for v in range(var, n_vars + 1):
-            expo[v - 1] += 1
-            walk(pos + 1, v + 1 if strict_next else v)
-            expo[v - 1] -= 1
-
-    walk(0, 1)
-    return tuple(out)
+            blocks = composition_of_descents(DescSet(self.n, mask))
+            for cols in combinations(range(n_vars), len(blocks)):
+                expo = [0] * n_vars
+                for col, block in zip(cols, blocks):
+                    expo[col] = block
+                out[tuple(expo)] = c
+        return dict(sorted(out.items()))
 
 
 def qsym_of(elems: CollectionLike, n: int | None = None) -> QSym:

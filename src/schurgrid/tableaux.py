@@ -3,12 +3,14 @@ descent-preserving rotation bijection onto strip chain tableaux.
 
 Shapes are stored in English notation: rows are numbered from the top
 starting at 1, and a skew shape is an (outer, inner) pair of partitions
-with ``inner`` contained in ``outer`` componentwise.  Two shape functions
-cover everything the package needs besides straight shapes:
+with ``inner`` contained in ``outer`` componentwise.  Two skew shape
+functions build shapes from descent sets:
 
-- :func:`ribbon_shape` -- the connected ribbon encoding a descent set;
 - :func:`strip_chain_shape` -- corner-touching horizontal strips whose top
-  right cell is a single box.
+  right cell is a single box, the shape the rotation bijection maps onto;
+- :func:`ribbon_shape` -- the connected ribbon encoding a descent set, a
+  reference for the tests: the package reads ribbons off the descent-count
+  table instead.
 
 >>> ribbon_shape(9, DescSet.of(9, [1, 3, 5, 6])).row_sizes()
 (3, 1, 2, 2, 1)
@@ -202,16 +204,12 @@ def ribbon_shape(n: int, j: DescSet) -> SkewShape:
     return SkewShape(tuple(outer), tuple(inner))
 
 
-@lru_cache(maxsize=1 << 12)
 def strip_chain_shape(n: int, j: DescSet) -> SkewShape:
     """Corner-touching horizontal strips, left to right, of sizes
     ``j_1, j_2-j_1, ..., n-1-j_t, 1`` for ``j = {j_1 < ... < j_t}``; the
     rightmost strip is the single top cell.
 
-    Members of ``j`` must lie in ``[n-2]``.  Cached per ``(n, j)``: the
-    rotation audit of each class asks for it twice (its expected shape and
-    the chain it maps onto), and :func:`rotation_bijection` once per
-    permutation.
+    Members of ``j`` must lie in ``[n-2]``.
 
     >>> strip_chain_shape(5, DescSet.of(5, []))
     SkewShape(outer=(5, 4), inner=(4,))

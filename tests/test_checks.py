@@ -130,6 +130,12 @@ def test_resource_skip_honors_budget(monkeypatch):
     )
 
 
+def test_empty_check_budget_means_the_default(monkeypatch):
+    monkeypatch.setenv("SCHURGRID_CHECK_BUDGET", "")
+    assert check_budget() == DEFAULT_CHECK_BUDGET
+    assert run_check("thm-main-2", 6).status == "verified"
+
+
 def test_check_refused_by_the_grid_gate_is_skipped(monkeypatch):
     # prop-prod-onecol enumerates one-column classes of n cells: 4**5 = 1024
     # words at n = 5 exceed a grid budget of 300.

@@ -174,6 +174,25 @@ def test_check_refused_by_the_grid_gate_names_the_grid_budget(capsys, monkeypatc
     assert err == "resource budget exceeded; raise SCHURGRID_GRID_BUDGET or lower --n\n"
 
 
+@pytest.mark.parametrize("var", ["SCHURGRID_CHECK_BUDGET", "SCHURGRID_GRID_BUDGET"])
+def test_empty_budget_means_the_default(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "")
+    monkeypatch.setattr(grids, "_grid_cache", {})  # a cached class skips the gate
+    code, out, err = run(capsys, ["check", "prop-prod-onecol", "--n", "5"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("check prop-prod-onecol (n=5): verified")
+
+
+@pytest.mark.parametrize("var", ["SCHURGRID_CHECK_BUDGET", "SCHURGRID_GRID_BUDGET"])
+@pytest.mark.parametrize("value", ["abc", "1e9"])
+def test_non_integer_budget_exits_one_naming_its_variable(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    code, out, err = run(capsys, ["check", "prop-prod-onecol", "--n", "5"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {var} must be an integer, got '{value}'\n"
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

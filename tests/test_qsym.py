@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurgrid import qsym
+from schurgrid.permsets import symmetric_group
 from schurgrid.permutations import (
     DescSet,
     composition_boundary_mask,
@@ -173,6 +174,45 @@ def test_evaluate_monomials_is_linear():
         for expo, c in brute_fundamental_monomials(3, set(members), 3).items():
             brute[expo] = brute.get(expo, 0) + mult * c
     assert q.evaluate_monomials(3) == {e: c for e, c in sorted(brute.items()) if c}
+
+
+def test_evaluate_monomials_at_degree_zero():
+    assert QSym.unit(0).evaluate_monomials(0) == {(): 1}
+    assert QSym.unit(0).evaluate_monomials(2) == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("big", [2**64, -(2**64), 2**70])
+def test_evaluate_monomials_is_exact_beyond_int64(big):
+    # Coefficients this large put the subset-sum transform on object arrays.
+    terms = {(): big, (1,): 3, (2, 3): -big, (1, 2, 3): 1}
+    q = sum((fundamental(4, m).scale(c) for m, c in terms.items()), QSym.zero(4))
+    for n_vars in range(0, 5):
+        brute = {}
+        for members, c in terms.items():
+            for expo, k in brute_fundamental_monomials(4, set(members), n_vars).items():
+                brute[expo] = brute.get(expo, 0) + c * k
+        assert q.evaluate_monomials(n_vars) == {e: c for e, c in sorted(brute.items()) if c}
+
+
+def test_evaluate_monomials_of_the_symmetric_group_is_a_power_of_h1():
+    # The descent generating function of S_n is h_1^n, whose coefficient of
+    # x^e is the multinomial n! / prod(e_i!).
+    for n in range(1, 7):
+        q = qsym_of(symmetric_group(n))
+        for n_vars in range(0, 5):
+            expected = {
+                e: math.factorial(n) // math.prod(map(math.factorial, e))
+                for e in itertools.product(range(n + 1), repeat=n_vars)
+                if sum(e) == n
+            }
+            assert q.evaluate_monomials(n_vars) == expected, (n, n_vars)
+
+
+def test_evaluate_monomials_sorts_by_exponent_vector():
+    q = fundamental(5, [1, 3]).scale(2) + fundamental(5, [2]) + fundamental(5, [4]).scale(-7)
+    for n_vars in range(0, 6):
+        terms = list(q.evaluate_monomials(n_vars))
+        assert terms == sorted(terms)
 
 
 # ---------------------------------------------------------------------------
