@@ -83,6 +83,7 @@ from .qsym import (
     NotSymmetric,
     QSym,
     SchurExpansion,
+    _corners,
     _exact_matmul,
     _serialize_rows,
     _subset_sums,
@@ -90,8 +91,6 @@ from .qsym import (
     descent_count_table,
     is_schur_positive,
     qsym_of,
-    pieri_down,
-    pieri_up,
     schur_expand,
     schur_f_rows,
     schur_f_vector,
@@ -302,10 +301,15 @@ def _ribbon_schur(n: int, d: DescSet) -> SchurExpansion:
     return SchurExpansion.from_row(n, descent_count_table(n).matrix[:, d.mask])
 
 
+def _ribbons(n: int) -> np.ndarray:
+    """The :func:`_ribbon_schur` row of every ribbon of degree ``n``, by mask."""
+    return descent_count_table(n).matrix.T
+
+
 def _ribbon_f_rows(n: int, masks: Sequence[int]) -> np.ndarray:
     """The fundamental vectors of the ribbons with descent masks ``masks``,
-    one a row: their :func:`_ribbon_schur` columns times the table."""
-    return schur_f_rows(n, descent_count_table(n).matrix[:, masks].T)
+    one a row: their :func:`_ribbon_schur` rows times the table."""
+    return schur_f_rows(n, _ribbons(n)[masks])
 
 
 _Battery = tuple[list[tuple[str, PermSet, SchurExpansion]], np.ndarray]
@@ -547,11 +551,12 @@ def _run_thm_main_2(led: _CaseLedger, n: int) -> None:
 )
 def _run_cor_vertical(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
-    dessets = _dessets(n, n - 1)
     lhss = _serialize_rows(n, product_qsym_grid([cyc], inv_descent_classes(n))[0].tolist())
-    for d, lhs in zip(dessets, lhss):
-        rhs = schur_f_vector(pieri_up(pieri_down(_ribbon_schur(n, d))))
-        led.add(f"D{d.braces()}", lhs, rhs.serialize())
+    # Every ribbon loses a corner box (the transpose), then gains one.
+    corners = _corners(n - 1)
+    moved = schur_f_rows(n, _exact_matmul(_exact_matmul(_ribbons(n), corners.T), corners))
+    for d, lhs, rhs in zip(_dessets(n, n - 1), lhss, _serialize_rows(n, moved.tolist())):
+        led.add(f"D{d.braces()}", lhs, rhs)
 
 
 def _r2_expected(n: int) -> SchurExpansion:
@@ -686,7 +691,10 @@ def _rotation_fault(words: np.ndarray, j: DescSet, shape: SkewShape) -> str | No
 def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
     cyc = cyclic_class(n)
     classes = zip(inv_descent_classes(n - 1), inv_weak_descent_classes(n - 1))
-    for d, (dclass, rclass) in zip(_dessets(n - 1, n - 2), classes):
+    # The row-extension route: every ribbon of degree n - 1 gains a corner box.
+    extended = schur_f_rows(n, _exact_matmul(_ribbons(n - 1), _corners(n - 1)))
+    routes = zip(classes, _serialize_rows(n, extended.tolist()))
+    for d, ((dclass, rclass), extension) in zip(_dessets(n - 1, n - 2), routes):
         dn = DescSet.of(n, d.members)
         exact = multiset_product(embed(dclass, n), cyc)
         weak = multiset_product(embed(rclass, n), cyc)
@@ -704,11 +712,7 @@ def _run_thm_horizontal1(led: _CaseLedger, n: int) -> None:
             weak.qsym().serialize(),
             skew_schur_f_vector(shape).serialize(),
         )
-        led.add(
-            f"J={d.braces()} row-extension route",
-            exact.qsym().serialize(),
-            schur_f_vector(pieri_up(_ribbon_schur(n - 1, d))).serialize(),
-        )
+        led.add(f"J={d.braces()} row-extension route", exact.qsym().serialize(), extension)
 
 
 @_check(
@@ -735,17 +739,12 @@ def _run_cor_rotated_shuffles2(led: _CaseLedger, n: int) -> None:
     " corner-added ribbons.",
 )
 def _run_cor_cyc_fine(led: _CaseLedger, n: int) -> None:
-    dessets = _dessets(n - 1, n - 2)
-    ribbons = schur_rows(n - 1, [_ribbon_schur(n - 1, d) for d in dessets])
-    for k in range(1, n):
-        # pieri_up is linear: one corner-adding pass over the sum of the ribbons.
-        level = ribbons[[len(d.members) == k - 1 for d in dessets]].sum(axis=0)
-        rhs = pieri_up(SchurExpansion.from_row(n - 1, level))
-        led.add(
-            f"k={k}",
-            qsym_of(cdes_inverse_class(n, k), n).serialize(),
-            schur_f_vector(rhs).serialize(),
-        )
+    # Row k - 1 of the level matrix marks the masks with k - 1 descents; adding
+    # a corner is linear, so one product adds it to each level's ribbon sum.
+    levels = np.arange(n - 1)[:, None] == np.bitwise_count(np.arange(1 << (n - 2)))
+    sums = _exact_matmul(_exact_matmul(levels, _ribbons(n - 1)), _corners(n - 1))
+    for k, rhs in enumerate(_serialize_rows(n, schur_f_rows(n, sums).tolist()), start=1):
+        led.add(f"k={k}", qsym_of(cdes_inverse_class(n, k), n).serialize(), rhs)
 
 
 @_check(
@@ -1024,10 +1023,12 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
     " corner cell to its Schur support.",
 )
 def _run_thm_horiz_induction(led: _CaseLedger, n: int) -> None:
-    battery = _expanded_battery(n - 1)[0]
+    battery, rows = _expanded_battery(n - 1)
     cells = product_qsym_grid([embed(b, n) for _, b, _ in battery], [cyclic_class(n)])
-    for (name, _, be), lhs in zip(battery, _serialize_rows(n, cells[:, 0].tolist())):
-        led.add(name, lhs, schur_f_vector(pieri_up(be)).serialize())
+    lhss = _serialize_rows(n, cells[:, 0].tolist())
+    rhss = _serialize_rows(n, schur_f_rows(n, _exact_matmul(rows, _corners(n - 1))).tolist())
+    for (name, _, _), lhs, rhs in zip(battery, lhss, rhss):
+        led.add(name, lhs, rhs)
 
 
 @_check(

@@ -118,9 +118,6 @@ class GridMatrix:
             if e
         ]
 
-    def serialize(self) -> str:
-        return format_grid_matrix(self)
-
 
 def parse_grid_matrix(text: str) -> GridMatrix:
     """Parse rows separated by ``/``, characters ``0``, ``+``, ``-``;
@@ -384,7 +381,8 @@ def grid_budget() -> int:
     that count of parameter words with the budget, although neither route
     visits the words themselves.  The same budget caps the ``n! * n``
     letters of the symmetric group that the array-built families start
-    from: the default admits ``n <= 10`` and refuses ``n = 11``."""
+    from: the default admits ``n <= 10`` and refuses ``n = 11``.  It also caps
+    the terms of :meth:`~schurgrid.qsym.QSym.evaluate_monomials`."""
     return _budget("SCHURGRID_GRID_BUDGET", 100_000_000)
 
 

@@ -46,6 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .grids import GridResourceError, grid_budget
 from .permutations import (
     CollectionLike,
     DescSet,
@@ -167,17 +168,24 @@ class QSym:
     def evaluate_monomials(self, n_vars: int) -> dict[tuple[int, ...], int]:
         """Expansion into monomials in ``x_1..x_{n_vars}``: sorted exponent
         vectors (length ``n_vars``) to integer coefficients.  Each vector
-        comes from one mask, whose blocks are its nonzero entries in order."""
+        comes from one mask, whose blocks are its nonzero entries in order, so
+        a mask of ``l`` blocks gives ``C(n_vars, l)`` terms; more terms than
+        the grid budget raise :class:`GridResourceError` before any is built."""
         if n_vars < 0:
             raise ValueError("number of variables must be >= 0")
+        mono = monomial_coefficients(self)
+        placed = [(c, composition_of_descents(DescSet(self.n, m))) for m, c in enumerate(mono) if c]
+        terms = sum(math.comb(n_vars, len(parts)) for _, parts in placed)
+        if terms > grid_budget():
+            raise GridResourceError(
+                f"expansion in {n_vars} variables needs {terms} terms (budget {grid_budget()}); "
+                "raise SCHURGRID_GRID_BUDGET"
+            )
         out: dict[tuple[int, ...], int] = {}
-        for mask, c in enumerate(monomial_coefficients(self)):
-            if not c:
-                continue
-            blocks = composition_of_descents(DescSet(self.n, mask))
-            for cols in combinations(range(n_vars), len(blocks)):
+        for c, parts in placed:
+            for cols in combinations(range(n_vars), len(parts)):
                 expo = [0] * n_vars
-                for col, block in zip(cols, blocks):
+                for col, block in zip(cols, parts):
                     expo[col] = block
                 out[tuple(expo)] = c
         return dict(sorted(out.items()))
@@ -387,8 +395,8 @@ def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     The entries of ``q`` at the partial-sum masks of the partitions of
     ``n``, times the inverse of the table's partition block, give the
     candidate coefficients.  The candidate is returned when its fundamental
-    vector is ``q``; otherwise ``q`` is not symmetric and the monomial
-    witness says where.
+    vector, rebuilt from the table rows of its support alone, is ``q``;
+    otherwise ``q`` is not symmetric and the monomial witness says where.
 
     >>> isinstance(schur_expand(QSym.single(3, DescSet.of(3, [1]), 2)
     ...                         + QSym.unit(3)), NotSymmetric)
@@ -397,7 +405,8 @@ def schur_expand(q: QSym) -> SchurExpansion | NotSymmetric:
     table = descent_count_table(q.n)
     at_bounds = _int_array([[q.coeffs[mask] for mask in _bounds(q.n).tolist()]])
     coeffs = _exact_matmul(at_bounds, table.partition_block_inverse)
-    if _exact_matmul(coeffs, table.matrix)[0].tolist() == list(q.coeffs):
+    support = np.flatnonzero(coeffs[0])
+    if _exact_matmul(coeffs[:, support], table.matrix[support])[0].tolist() == list(q.coeffs):
         return SchurExpansion.from_row(q.n, coeffs[0])
     witness = _monomial_witness(q, _monomials(q))
     assert witness is not None, "a vector outside the Schur span is not symmetric"
@@ -437,7 +446,7 @@ def schur_f_vector(e: SchurExpansion) -> QSym:
 
 
 # ---------------------------------------------------------------------------
-# Corner moves (degree-raising induction / degree-lowering restriction)
+# Corner moves: one matrix for adding a box, its transpose for removing one
 # ---------------------------------------------------------------------------
 
 
@@ -455,17 +464,15 @@ def _addable_corners(mu: Partition) -> tuple[tuple[int, Partition], ...]:
     return tuple(out)
 
 
-def _removable_corners(mu: Partition) -> list[Partition]:
-    out = []
-    rows = len(mu)
-    for i in range(rows):
-        below = mu[i + 1] if i + 1 < rows else 0
-        if mu[i] > below:
-            new = list(mu)
-            new[i] -= 1
-            if new[i] == 0:
-                new.pop(i)
-            out.append(tuple(new))
+def _corners(n: int) -> np.ndarray:
+    """The corner moves of degree ``n``: the 0/1 ``P(n) x P(n+1)`` matrix,
+    rows and columns in ``partitions`` order, whose entry ``[mu, lambda]`` is
+    1 when ``lambda`` is ``mu`` with one box added.  By the branching rule
+    (restriction is adjoint to induction) removing a box is its transpose."""
+    index = _partition_index(n + 1)
+    out = np.zeros((len(partitions(n)), len(index)), np.int64)
+    for row, mu in zip(out, partitions(n)):
+        row[[index[new] for _, new in _addable_corners(mu)]] = 1
     return out
 
 
@@ -475,11 +482,7 @@ def pieri_up(e: SchurExpansion) -> SchurExpansion:
     >>> pieri_up(SchurExpansion.single((2,))).serialize()
     's[3] + s[2,1]'
     """
-    data: dict[Partition, int] = {}
-    for mu, c in e.coeffs:
-        for _, new in _addable_corners(mu):
-            data[new] = data.get(new, 0) + c
-    return SchurExpansion.from_dict(e.n + 1, data)
+    return SchurExpansion.from_row(e.n + 1, _exact_matmul(schur_rows(e.n, [e]), _corners(e.n))[0])
 
 
 def pieri_down(e: SchurExpansion) -> SchurExpansion:
@@ -490,11 +493,8 @@ def pieri_down(e: SchurExpansion) -> SchurExpansion:
     """
     if e.n == 0:
         return SchurExpansion.zero(0)
-    data: dict[Partition, int] = {}
-    for mu, c in e.coeffs:
-        for new in _removable_corners(mu):
-            data[new] = data.get(new, 0) + c
-    return SchurExpansion.from_dict(e.n - 1, data)
+    row = _exact_matmul(schur_rows(e.n, [e]), _corners(e.n - 1).T)[0]
+    return SchurExpansion.from_row(e.n - 1, row)
 
 
 # ---------------------------------------------------------------------------
