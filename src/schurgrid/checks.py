@@ -32,6 +32,8 @@ from .grids import (
     GridMatrix,
     GridResourceError,
     _budget,
+    _column_signs,
+    _one_column_states,
     arc_matrices,
     complement_matrix,
     enumerate_grid,
@@ -41,7 +43,9 @@ from .grids import (
     identity_matrix,
     j_matrix,
     k_matrix,
+    one_column_classes,
     one_column_matrix,
+    one_column_qsyms,
     parse_grid_matrix,
     reflect_matrix_horizontal,
     rotate180_matrix,
@@ -60,8 +64,10 @@ from .permutations import (
 )
 from .permsets import (
     PermSet,
+    _inverse_cdes,
+    _level_sets,
+    _symmetric_words,
     arc_class,
-    cdes_inverse_class,
     colayered_class,
     cyclic_class,
     embed,
@@ -387,11 +393,6 @@ def _schur_sum(n: int, items: Iterable[tuple[tuple[int, ...], int]]) -> SchurExp
             continue
         data[clean] = data.get(clean, 0) + coeff
     return SchurExpansion.from_dict(n, data)
-
-
-def _subseq(small: Sequence[int], big: Sequence[int]) -> bool:
-    it = iter(big)
-    return all(any(x == y for y in it) for x in small)
 
 
 def _fine_matrix_corpus() -> list[tuple[str, GridMatrix]]:
@@ -743,8 +744,10 @@ def _run_cor_cyc_fine(led: _CaseLedger, n: int) -> None:
     # a corner is linear, so one product adds it to each level's ribbon sum.
     levels = np.arange(n - 1)[:, None] == np.bitwise_count(np.arange(1 << (n - 2)))
     sums = _exact_matmul(_exact_matmul(levels, _ribbons(n - 1)), _corners(n - 1))
-    for k, rhs in enumerate(_serialize_rows(n, schur_f_rows(n, sums).tolist()), start=1):
-        led.add(f"k={k}", qsym_of(cdes_inverse_class(n, k), n).serialize(), rhs)
+    rhss = _serialize_rows(n, schur_f_rows(n, sums).tolist())
+    words = _symmetric_words(n)
+    for k, cls in enumerate(_level_sets(n, words, _inverse_cdes(words), n)[1:], start=1):
+        led.add(f"k={k}", qsym_of(cls, n).serialize(), rhss[k - 1])
 
 
 @_check(
@@ -957,19 +960,25 @@ def _run_colayer_hooks(led: _CaseLedger, n: int) -> None:
 
 
 @_check(
-    "onecol-zigzags", 7, 2, lambda n: (1 << (n - 1)) * (n - 1) ** n + n * _fact(n),
+    "onecol-zigzags", 7, 2,
+    lambda n: sum(_one_column_states(k, n) << k for k in range(1, n)) + n * _fact(n),
     "A one-column class expands over the ribbons of the sign words that"
     " avoid its sign vector as a subsequence.",
 )
 def _run_onecol_zigzags(led: _CaseLedger, n: int) -> None:
-    universe = _sign_vectors(n - 1, min_len=n - 1)
-    masks = [sum(1 << i for i, s in enumerate(u) if s > 0) for u in universe]
     vectors = _sign_vectors(n - 1)
-    # Row v sums the ribbons of the sign words u that avoid v.
-    avoids = np.array([[not _subseq(v, u) for u in universe] for v in vectors], np.int64)
-    rhss = _serialize_rows(n, _exact_matmul(avoids, _ribbon_f_rows(n, masks)).tolist())
-    for v, rhs in zip(vectors, rhss):
-        led.add(f"v={format_sign_vector(v)}", qsym_of(one_column_class(v, n), n).serialize(), rhs)
+    lhss = _serialize_rows(n, one_column_qsyms(vectors, n).tolist())
+    universe = np.array(_sign_vectors(n - 1, min_len=n - 1))
+    # Row v sums the ribbons of the words u that avoid v (a greedy pointer per pair, along u).
+    padded = np.array([v + (0,) * (n - len(v)) for v in vectors])
+    at = np.zeros((len(vectors), len(universe)), np.intp)
+    for letters in universe.T:
+        at += np.take_along_axis(padded, at, axis=1) == letters
+    avoids = (at < np.count_nonzero(padded, axis=1)[:, None]).astype(np.int64)
+    ribbons = _ribbon_f_rows(n, ((universe > 0) << np.arange(n - 1)).sum(axis=1))
+    rhss = _serialize_rows(n, _exact_matmul(avoids, ribbons).tolist())
+    for v, lhs, rhs in zip(vectors, lhss, rhss):
+        led.add(f"v={format_sign_vector(v)}", lhs, rhs)
 
 
 @_check(
@@ -1007,14 +1016,12 @@ def _run_cor_star(led: _CaseLedger, n: int) -> None:
         "++-+--",
     )
     vs = _sign_vectors(3)
-    classes = {v: one_column_class(v, n) for v in vs}
-    for v in vs:
-        for w in vs:
-            left = set_product(classes[v], classes[w])
-            right = one_column_class(star_product(v, w), n)
-            led.add_sets(
-                f"{format_sign_vector(v)} * {format_sign_vector(w)}", left, right
-            )
+    pairs = [(v, w) for v in vs for w in vs]
+    listed = one_column_classes(vs + [star_product(v, w) for v, w in pairs], n)
+    classes = dict(zip(vs, listed))
+    for (v, w), right in zip(pairs, listed[len(vs):]):
+        left = set_product(classes[v], classes[w])
+        led.add_sets(f"{format_sign_vector(v)} * {format_sign_vector(w)}", left, right)
 
 
 @_check(
@@ -1335,13 +1342,19 @@ def _scan_knuth_product(n: int) -> tuple[str, int, str | None]:
     " one degree below.",
 )
 def _scan_restriction(n: int) -> tuple[str, int, str | None]:
-    cases = 0
-    for name, m in _wide_matrix_corpus():
-        cases += 1
-        e_hi = schur_expand(qsym_of(enumerate_grid(m, n), n))
-        if not is_schur_positive(e_hi):
+    corpus = _wide_matrix_corpus()
+    cols = {name: v for name, m in corpus if (v := _column_signs(m)) is not None}
+    rows = {d: dict(zip(cols, one_column_qsyms([*cols.values()], d).tolist())) for d in (n, n - 1)}
+
+    def expand(name: str, m: GridMatrix, d: int) -> SchurExpansion | NotSymmetric:
+        row = rows[d].get(name)
+        q = qsym_of(enumerate_grid(m, d), d) if row is None else QSym(d, tuple(row))
+        return schur_expand(q)
+
+    for cases, (name, m) in enumerate(corpus, start=1):
+        if not is_schur_positive(expand(name, m, n)):
             continue
-        e_lo = schur_expand(qsym_of(enumerate_grid(m, n - 1), n - 1))
+        e_lo = expand(name, m, n - 1)
         if not is_schur_positive(e_lo):
             return (
                 "refuted",
@@ -1349,7 +1362,7 @@ def _scan_restriction(n: int) -> tuple[str, int, str | None]:
                 f"{name}: Schur-positive at degree {n} but at degree {n - 1}: "
                 f"{_fineness(e_lo)}",
             )
-    return "holds", cases, None
+    return "holds", len(corpus), None
 
 
 SCAN_IDS: tuple[str, ...] = tuple(_SCANS)

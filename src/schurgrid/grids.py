@@ -9,7 +9,13 @@ Enumeration is exact and takes one of two routes:
 
 - When every nonzero cell lies in one column, the values 1..n are inserted
   in turn into each member, greedily keeping each value in the current
-  cell's monotone run; every member is built once.
+  cell's monotone run and opening the next cell otherwise.  Staying is
+  never worse than moving up, so this gridding is unique and every member
+  is built once.  The same walk counts a class without listing it: a
+  partial member matters only through its cell, the position of its
+  largest value and its descent set, so equal states merge into one with
+  a count, and the counts per descent set at the end make the descent
+  generating function, exact because no member is reached twice.
 - Otherwise the matrix is oriented: row and column signs with
   ``row * col == entry`` on every nonzero cell.  Every drawing can then be
   normalized so that all points share one integer parameter, and the
@@ -38,6 +44,7 @@ from .permutations import (
     Perm,
     PermSet,
     _DistinctRows,
+    _dedupe,
     cdes_count,
     des_set,
     distinct_words,
@@ -52,6 +59,8 @@ __all__ = [
     "consistent_orientation",
     "refine_matrix",
     "enumerate_grid",
+    "one_column_classes",
+    "one_column_qsyms",
     "grid_budget",
     "complement_matrix",
     "rotate180_matrix",
@@ -377,12 +386,11 @@ class GridResourceError(RuntimeError):
 def grid_budget() -> int:
     """Largest ``s**n`` (nonzero cells of the oriented matrix to the power
     of the degree) one enumeration may ask for, set with the
-    SCHURGRID_GRID_BUDGET environment variable.  The gate still compares
-    that count of parameter words with the budget, although neither route
-    visits the words themselves.  The same budget caps the ``n! * n``
-    letters of the symmetric group that the array-built families start
-    from: the default admits ``n <= 10`` and refuses ``n = 11``.  It also caps
-    the terms of :meth:`~schurgrid.qsym.QSym.evaluate_monomials`."""
+    SCHURGRID_GRID_BUDGET environment variable, though neither route visits
+    those words.  It also caps the bounded states of :func:`one_column_qsyms`,
+    the ``n! * n`` letters of the symmetric group that the array-built
+    families start from (the default admits ``n <= 10`` and refuses
+    ``n = 11``) and the terms of :meth:`~schurgrid.qsym.QSym.evaluate_monomials`."""
     return _budget("SCHURGRID_GRID_BUDGET", 100_000_000)
 
 
@@ -423,9 +431,8 @@ def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
         if debug:
             _log.debug("grid %s n=%d: cache hit", format_grid_matrix(m), n)
         return cached
-    work, cells = m, m.cells()
-    one_column = len({j for _, j in cells}) == 1  # always orientable
-    if not one_column:
+    work, cells, signs = m, m.cells(), _column_signs(m)
+    if signs is None:  # a one-column matrix is always orientable
         oriented = consistent_orientation(m)
         if oriented is None:
             work = refine_matrix(m)
@@ -435,16 +442,10 @@ def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
     if n == 0 or not cells:
         out = PermSet.from_words(np.empty((int(n == 0), n), np.uint8))
     else:
-        total = len(cells) ** n
-        if total > grid_budget():
-            raise GridResourceError(
-                f"enumeration needs {total} words (budget {grid_budget()}); "
-                "raise SCHURGRID_GRID_BUDGET"
-            )
-        if one_column:
+        _grid_gate(len(cells) ** n, "enumeration needs {} words")
+        if signs is not None:
             route = "one-column"
-            signs = [work.rows[i][j] for i, j in reversed(cells)]
-            words, sizes = _enumerate_one_column(signs, n)
+            (words,), sizes = _one_column_walk([signs], n)
         else:
             route = "gridded-state"
             words, sizes = _enumerate_oriented(work, oriented, n)
@@ -459,40 +460,116 @@ def enumerate_grid(m: GridMatrix, n: int) -> PermSet:
     return out
 
 
-def _enumerate_one_column(
-    signs: Sequence[int], n: int
-) -> tuple[np.ndarray, list[int]]:
-    """Members of the one-column class with bottom-to-top cell signs
-    ``signs``, as the rows of a word matrix sorted by :func:`distinct_words`
-    (on packed row keys), and the row count per level.
+def _column_signs(m: GridMatrix) -> SignVector | None:
+    """Bottom-to-top signs of the cells when all lie in one column, else None."""
+    cells = m.cells()
+    one_column = len({j for _, j in cells}) == 1
+    return tuple(m.rows[i][j] for i, j in reversed(cells)) if one_column else None
 
-    A member's inverse splits into monotone runs, one per cell from the
-    bottom.  The values 1..n are inserted in turn, each row keeping its
-    current band and the position of its largest value: value j+1 stays in
-    the band when it continues the band's run (right of value j for plus,
-    left of it for minus) and opens the next band otherwise.  Staying is
-    never worse than moving up, so this greedy gridding is unique and every
-    member is built exactly once; rows needing more bands are dropped.
+
+def _grid_gate(total: int, need: str) -> None:
+    """Refuse ``total`` units over :func:`grid_budget`; ``need`` names them, ``{}`` the count."""
+    if total > grid_budget():
+        budget = f"(budget {grid_budget()}); raise SCHURGRID_GRID_BUDGET"
+        raise GridResourceError(f"{need.format(total)} {budget}")
+
+
+def one_column_classes(vs: Sequence[SignVector], n: int) -> list[PermSet]:
+    """``enumerate_grid(one_column_matrix(v), n)`` for every ``v`` in
+    ``vs``; the classes not cached yet are gated as there (by the longest
+    vector), listed by one walk and cached under that key.
+
+    >>> [len(c) for c in one_column_classes([(1,), (1, -1), (1,)], 3)]
+    [1, 4, 1]
     """
-    dtype = np.min_scalar_type(n)
-    plus = np.array(signs) > 0
-    words = np.ones((1, 1), dtype)
-    band = np.zeros(1, np.min_scalar_type(len(signs)))
-    top = np.zeros(1, np.intp)  # position of the largest value
-    sizes = [1]
+    mats = [one_column_matrix(v) for v in vs]
+    todo = {m: v for m, v in zip(mats, vs) if (m, n) not in _grid_cache}
+    if todo and n > 0:
+        _grid_gate(max(map(len, todo.values())) ** n, "enumeration needs {} words")
+        for m, words in zip(todo, _one_column_walk(list(todo.values()), n)[0]):
+            _grid_cache[m, n] = PermSet._of_rows(n, words)
+    return [enumerate_grid(m, n) for m in mats]
+
+
+def _one_column_states(k: int, n: int) -> int:
+    """Bound on the states :func:`one_column_qsyms` merges for a sign vector
+    of length ``k`` at degree ``n``: with ``L`` values placed, ``min(k, L)``
+    bands times the ``(L + 2) * 2**(L - 3)`` masks whose bit ``top`` is set
+    and bit ``top - 1`` clear; the last level keeps masks alone."""
+    return 1 + sum(min(k, L) * ((L + 2) << L >> 3) for L in range(2, n)) + (1 << max(n - 1, 0))
+
+
+def one_column_qsyms(vs: Sequence[SignVector], n: int) -> np.ndarray:
+    """Fundamental vector of the one-column class of each ``v`` in ``vs``,
+    one ``int64`` row each, counted without listing a member, in batches
+    of at most ``_CHUNK`` children (bounded states times n); over
+    :func:`grid_budget` states in all is refused.
+
+    >>> one_column_qsyms([(-1, 1)], 3).tolist()
+    [[1, 1, 1, 1]]
+    """
+    index = {v: i for i, v in enumerate(dict.fromkeys(vs))}
+    for v in index:
+        _check_signs(v)
+    bounds = [_one_column_states(len(v), n) for v in index]
+    _grid_gate(sum(bounds), "counting needs up to {} states")
+    uniq, out = list(index), np.zeros((len(index), 1 << max(n - 1, 0)), np.int64)
+    per = max(1, _CHUNK // max(bounds, default=1) // max(n, 1))
+    sizes = np.zeros(max(n - 1, 1), np.int64)
+    for i in range(0, len(uniq), per):
+        sizes += _one_column_walk(uniq[i : i + per], n, out[i : i + per])[1]
+    if _log.isEnabledFor(logging.DEBUG):
+        sizes = [*sizes.tolist(), int(np.count_nonzero(out))] if n > 1 else sizes.tolist()
+        _log.debug("%d one-column counts n=%d: states per level %s", len(uniq), n, sizes)
+    return out[[index[v] for v in vs]]
+
+
+def _one_column_walk(
+    vs: Sequence[Sequence[int]], n: int, out: np.ndarray | None = None
+) -> tuple[list[np.ndarray], list[int]]:
+    """The greedy gridding of the one-column classes of bottom-to-top cell
+    signs ``vs[i]``: a row of vector ``vec`` holding 1..j is in band
+    ``band`` with its largest value at ``top``; value j + 1 at gap 0..j
+    stays in the band iff ``(gap > top) == plus[band]``, else opens the
+    next, and a row whose band reaches ``len(v)`` is dropped.  Without
+    ``out`` rows are words: each class's members sorted by
+    :func:`distinct_words` and the rows per level.  With ``out`` they are
+    states with counts merged per level; the new maximum at gap g keeps the
+    descent bits below g - 1, clears bit g - 1, sets bit g unless g = j and
+    shifts the bits from g up by one.  Each fundamental vector is added to
+    its row of ``out``; the merged states per level are returned."""
+    lengths = np.array([len(v) for v in vs])
+    plus = np.array([[s > 0 for s in v] + [False] * (lengths.max() - len(v)) for v in vs])
+    dtype, shape = np.min_scalar_type(n), (len(vs), plus.shape[1], n)
+    vec, band = np.arange(len(vs)), np.zeros(len(vs), np.min_scalar_type(plus.shape[1]))
+    top, mask, count = band, band, np.ones(len(vs), np.int64)
+    words, sizes = np.ones((len(vs), 1), dtype), [len(vs)]
     for j in range(1, n):
-        gaps = np.arange(j + 1)
-        stay = (gaps > top[:, None]) == plus[band][:, None]
-        bands = band[:, None] + ~stay
-        rows, top = np.nonzero(bands < len(signs))
-        band = bands[rows, top]
-        old = words[rows]
-        words = np.empty((len(rows), j + 1), dtype)
-        new = gaps == top[:, None]
-        words[new] = j + 1
-        words[~new] = old.ravel()
-        sizes.append(len(words))
-    return distinct_words(words)[0], sizes
+        bands = band[:, None] + ((np.arange(j + 1) > top[:, None]) != plus[vec, band][:, None])
+        rows, top = np.nonzero(bands < lengths[vec][:, None])
+        vec, band = vec[rows], bands[rows, top]
+        if out is None:
+            old = words[rows]
+            words = np.empty((len(rows), j + 1), dtype)
+            new = np.arange(j + 1) == top[:, None]
+            words[new] = j + 1
+            words[~new] = old.ravel()
+            sizes.append(len(words))
+        else:
+            old, count = mask[rows], count[rows]
+            low = old & (np.left_shift(1, np.maximum(top - 1, 0)) - 1)
+            mask = low | np.left_shift(top < j, top) | np.left_shift(old >> top, top + 1)
+            if j < n - 1:
+                keys = np.ravel_multi_index((vec, band, top), shape) << (n - 1) | mask
+                keys, count = _dedupe(keys, count)
+                mask = keys & ((1 << (n - 1)) - 1)
+                vec, band, top = np.unravel_index(keys >> (n - 1), shape)
+                sizes.append(len(keys))
+    if out is not None:
+        np.add.at(out, (vec, mask), count)
+        return [], sizes
+    cuts = np.cumsum(np.bincount(vec, minlength=len(vs)))[:-1]
+    return [distinct_words(block)[0] for block in np.split(words, cuts)], sizes
 
 
 def _enumerate_oriented(

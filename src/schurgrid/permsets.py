@@ -19,11 +19,10 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .grids import (
-    GridResourceError,
     SignVector,
+    _grid_gate,
     arc_matrices,
     enumerate_grid,
-    grid_budget,
     identity_matrix,
     j_matrix,
     k_matrix,
@@ -265,12 +264,7 @@ def _symmetric_words(n: int) -> np.ndarray:
     at a time: each first letter ``v``, then every shorter word with its
     letters ``>= v`` raised by one.  Refused before anything is allocated
     when its ``n! * n`` letters exceed :func:`~schurgrid.grids.grid_budget`."""
-    letters = math.factorial(n) * n
-    if letters > grid_budget():
-        raise GridResourceError(
-            f"S_{n} needs {letters} letters (budget {grid_budget()}); "
-            "raise SCHURGRID_GRID_BUDGET"
-        )
+    _grid_gate(math.factorial(n) * n, f"S_{n} needs {{}} letters")
     words = np.empty((1, 0), _word_dtype(n))
     for m in range(1, n + 1):
         heads = np.repeat(np.arange(1, m + 1, dtype=words.dtype), len(words))

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .grids import GridResourceError, grid_budget
+from .grids import _grid_gate
 from .permutations import (
     CollectionLike,
     DescSet,
@@ -176,11 +176,7 @@ class QSym:
         mono = monomial_coefficients(self)
         placed = [(c, composition_of_descents(DescSet(self.n, m))) for m, c in enumerate(mono) if c]
         terms = sum(math.comb(n_vars, len(parts)) for _, parts in placed)
-        if terms > grid_budget():
-            raise GridResourceError(
-                f"expansion in {n_vars} variables needs {terms} terms (budget {grid_budget()}); "
-                "raise SCHURGRID_GRID_BUDGET"
-            )
+        _grid_gate(terms, f"expansion in {n_vars} variables needs {{}} terms")
         out: dict[tuple[int, ...], int] = {}
         for c, parts in placed:
             for cols in combinations(range(n_vars), len(parts)):

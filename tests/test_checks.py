@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurgrid import checks, grids
+from schurgrid import checks, grids, permsets
 from schurgrid.checks import (
     _REGISTRY,
     CHECK_IDS,
@@ -528,3 +528,43 @@ def test_planted_rotation_faults_keep_their_failure_strings(monkeypatch):
         "bijective, descent-preserving, corner-tracking",
         "counterexample at case 'J={1} bijection audit'",
     )
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_cor_cyc_fine_builds_the_symmetric_group_once(monkeypatch, n):
+    calls = []
+    build = permsets._symmetric_words
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(permsets, "_symmetric_words", counted)
+    monkeypatch.setattr(checks, "_symmetric_words", counted)
+    assert run_check("cor-cyc-fine", n).status == "verified"
+    assert calls == [n]
+
+
+def test_onecol_zigzags_counts_its_classes_and_admits_degree_nine(monkeypatch):
+    """The class side is one counting call and lists no class; the cost
+    model counts bounded states, so n = 8 and 9 are admitted by default."""
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    cost = _REGISTRY["onecol-zigzags"].cost
+    assert cost(9) <= DEFAULT_CHECK_BUDGET < cost(11)
+    report = run_check("onecol-zigzags", 8)
+    assert report.status == "verified" and report.lhs.startswith("cases=254 ")
+    assert not grids._grid_cache
+
+
+def test_onecol_zigzags_refuses_over_the_states_budget(monkeypatch):
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "1000")
+    report = run_check("onecol-zigzags", 6)
+    assert report.status == "resource-skipped"
+    assert report.notes.startswith("grid enumeration over budget: counting needs up to ")
+    assert report.notes.endswith(" states (budget 1000); raise SCHURGRID_GRID_BUDGET")
+
+
+def test_restriction_scan_lists_no_one_column_class(monkeypatch):
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    assert checks._SCANS["restriction"].runner(5) == ("holds", len(checks._wide_matrix_corpus()), None)
+    assert not any(grids._column_signs(m) for m, _ in grids._grid_cache)

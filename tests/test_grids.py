@@ -34,8 +34,10 @@ from schurgrid.grids import (
     k_matrix,
     left_unimodal_matrix,
     minus_member,
+    one_column_classes,
     one_column_matrix,
     one_column_member,
+    one_column_qsyms,
     parse_grid_matrix,
     parse_sign_vector,
     plus_member,
@@ -48,6 +50,7 @@ from schurgrid.grids import (
     zigzag_member,
 )
 from schurgrid.permutations import inverse
+from schurgrid.qsym import qsym_of
 
 
 def all_perms(n):
@@ -464,3 +467,100 @@ def test_empty_and_degenerate_cases():
     assert enumerate_grid(m, 3) == frozenset({(1, 2, 3)})
     with pytest.raises(ValueError):
         enumerate_grid(m, -1)
+
+
+# ---------------------------------------------------------------------------
+# One-column classes counted and listed in batches
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_qsym(v, n):
+    return list(qsym_of(enumerate_grid(one_column_matrix(v), n), n).coeffs)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_one_column_counts_equal_enumeration(n):
+    """Every sign vector of length <= 6, each length a batch of its own and
+    all lengths mixed in one batch."""
+    vs = list(sign_vectors(6))
+    for k in range(1, 7):
+        batch = list(sign_vectors(k, min_len=k))
+        assert one_column_qsyms(batch, n).tolist() == [_enumerated_qsym(v, n) for v in batch]
+    counted = one_column_qsyms(vs, n)
+    assert counted.dtype == np.int64
+    assert counted.tolist() == [_enumerated_qsym(v, n) for v in vs]
+
+
+def test_one_column_counts_keep_repeats_and_order():
+    vs = [(1, -1), (-1,), (1, -1), (1, 1, -1, 1), (-1,)]
+    assert one_column_qsyms(vs, 5).tolist() == [_enumerated_qsym(v, 5) for v in vs]
+    assert one_column_qsyms([], 4).shape == (0, 8)
+    with pytest.raises(ValueError):
+        one_column_qsyms([(1, 0)], 3)
+
+
+def test_one_column_counts_in_small_batches(monkeypatch):
+    """With ``_CHUNK`` below one vector's bound every batch holds one vector,
+    and the rows are those of one batch."""
+    vs = list(sign_vectors(4))
+    whole = one_column_qsyms(vs, 6)
+    monkeypatch.setattr(grids, "_CHUNK", 1)
+    assert np.array_equal(one_column_qsyms(vs, 6), whole)
+
+
+def test_one_column_states_bound_the_merged_states(monkeypatch, caplog):
+    """Each level's merged states stay within the bound the gate reads, and
+    the count is logged at DEBUG like the enumeration's states."""
+    caplog.set_level(logging.DEBUG, logger="schurgrid")
+    for n in range(2, 9):
+        for k in range(1, n):
+            caplog.clear()
+            vs = list(sign_vectors(k, min_len=k))
+            one_column_qsyms(vs, n)
+            (message,) = [r.getMessage() for r in caplog.records]
+            assert message.startswith(f"{len(vs)} one-column counts n={n}: states per level [")
+            sizes = json.loads(re.search(r"states per level (\[.*?\])", message)[1])
+            assert len(sizes) == n - 1 + (n > 1)
+            assert sum(sizes) <= len(vs) * grids._one_column_states(k, n)
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="schurgrid")
+    one_column_qsyms([(1, -1)], 5)
+    assert not caplog.records
+
+
+def test_one_column_counting_gate_counts_states(monkeypatch):
+    bound = 2 * grids._one_column_states(3, 6)
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", str(bound - 1))
+    with pytest.raises(GridResourceError) as err:
+        one_column_qsyms([(1, -1, 1), (-1, -1, 1), (1, -1, 1)], 6)
+    assert str(err.value) == (
+        f"counting needs up to {bound} states (budget {bound - 1}); raise SCHURGRID_GRID_BUDGET"
+    )
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", str(bound))
+    assert one_column_qsyms([(1, -1, 1), (-1, -1, 1)], 6).shape == (2, 32)
+
+
+def test_batched_listing_equals_per_vector_enumeration(monkeypatch):
+    vs = [(1, -1, 1), (-1,), (1, 1), (-1, 1, 1, -1), (1, 1)]
+    for n in range(0, 7):
+        monkeypatch.setattr(grids, "_grid_cache", {})
+        alone = [enumerate_grid(one_column_matrix(v), n) for v in vs]
+        monkeypatch.setattr(grids, "_grid_cache", {})
+        listed = one_column_classes(vs, n)
+        for a, b in zip(alone, listed):
+            assert b.words.dtype == a.words.dtype
+            assert np.array_equal(b.words, a.words), n
+        assert listed[2] is listed[4]
+        assert all(enumerate_grid(one_column_matrix(v), n) is c for v, c in zip(vs, listed))
+
+
+def test_batched_listing_gates_each_vector(monkeypatch):
+    monkeypatch.setattr(grids, "_grid_cache", {})
+    monkeypatch.setenv("SCHURGRID_GRID_BUDGET", "300")
+    with pytest.raises(GridResourceError) as err:
+        one_column_classes([(1, -1), (1, -1, 1, 1), (1,)], 5)  # 4**5 = 1024 words
+    assert str(err.value) == (
+        "enumeration needs 1024 words (budget 300); raise SCHURGRID_GRID_BUDGET"
+    )
+    assert not grids._grid_cache  # refused before any class is listed
+    assert len(one_column_classes([(1, -1), (1, -1, 1)], 5)) == 2  # 3**5 = 243 words
